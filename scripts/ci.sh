@@ -8,11 +8,12 @@
 #      green on SIMD hosts.
 #   2. ThreadSanitizer    — the execution-layer and tensor tests, to catch
 #      data races in the thread pool and parallel kernels.
-#   3. Inference suite    — the inference session and batching server under
-#      TSan (concurrent submitters), plus the overload/admission and
-#      checkpoint hot-reload suites, then the smoke serving spec through
-#      run_experiment, asserting the emitted JSON is schema-versioned and
-#      well-formed.
+#   3. Inference suite    — the inference session and the single serving
+#      core (FleetServer's dispatcher and the one-lane BatchingServer
+#      facade over it) under TSan (concurrent submitters), plus the
+#      overload/admission and checkpoint hot-reload suites, then the smoke
+#      serving spec through run_experiment, asserting the emitted JSON is
+#      schema-versioned and well-formed.
 #   3b. Chaos smoke       — the overload scenario (specs/smoke_overload.spec)
 #      through the TSan run_experiment with all four serving fault points
 #      scripted (server.admit, server.deadline, server.degrade,
@@ -74,7 +75,7 @@ ctest --test-dir build --output-on-failure -j "$(nproc)" --no-tests=error
 # and serving path that records backend-qualified closures.
 D2STGNN_FORCE_BACKEND=scalar ctest --test-dir build --output-on-failure \
   -j "$(nproc)" \
-  -R 'Tensor|Backend|UlpDiff|MemoryPlanner|ZooCapture|GraphCapture|ExecSession|InferSession' \
+  -R 'Tensor|Backend|UlpDiff|MemoryPlanner|ZooCapture|GraphCapture|ExecSession|InferSession|InferServer|Fleet' \
   --no-tests=error
 
 if [[ "${1:-}" == "--release-only" ]]; then
@@ -89,7 +90,7 @@ cmake --build build-tsan -j "$(nproc)" \
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   -R 'ThreadPool|ParallelDeterminism|Tensor' --no-tests=error
 
-echo "=== Inference suite: batching server under TSan + serving smoke ==="
+echo "=== Inference suite: serving core under TSan + serving smoke ==="
 cmake --build build-tsan -j "$(nproc)" \
   --target infer_server_test infer_session_test overload_test \
   hot_reload_test fleet_test

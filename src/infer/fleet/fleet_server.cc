@@ -13,15 +13,32 @@ namespace d2stgnn::infer {
 
 namespace {
 
-std::future<Forecast> ResolvedRejection(RejectReason reason, std::string error,
-                                        int64_t retry_after_us) {
+std::future<Forecast> Resolved(Forecast forecast) {
   std::promise<Forecast> promise;
+  promise.set_value(std::move(forecast));
+  return promise.get_future();
+}
+
+Forecast Rejection(RejectReason reason, std::string error,
+                   int64_t retry_after_us) {
   Forecast forecast;
   forecast.error = std::move(error);
   forecast.reason = reason;
   forecast.retry_after_us = retry_after_us;
-  promise.set_value(std::move(forecast));
-  return promise.get_future();
+  return forecast;
+}
+
+/// What an AdmissionController rejection adds to the shared message.
+std::string AdmissionDetail(RejectReason reason, const AdmissionOptions& gate,
+                            double ewma_request_us) {
+  std::ostringstream os;
+  if (reason == RejectReason::kRateLimited) {
+    os << "limit " << gate.rate_rps << " rps";
+  } else if (reason == RejectReason::kOverloaded) {
+    os << "ewma request latency " << static_cast<int64_t>(ewma_request_us)
+       << " us > shed budget " << gate.shed_latency_us << " us";
+  }
+  return os.str();
 }
 
 Forecast DeadlineMiss() {
@@ -141,14 +158,106 @@ void FleetServer::CountRejectLocked(Lane* lane, RejectReason reason) {
   }
 }
 
+std::string FleetServer::RejectErrorLocked(const Lane& lane,
+                                           RejectReason reason,
+                                           const std::string& detail) const {
+  std::string what = RejectReasonName(reason);
+  std::replace(what.begin(), what.end(), '_', ' ');
+  std::ostringstream os;
+  os << what << " (depth " << TotalDepthLocked() << "/"
+     << options_.max_queue_depth << ", active batch "
+     << EffectiveBatchCap(lane, governor_.tier());
+  if (!detail.empty()) os << ", " << detail;
+  if (ids_.size() > 1) os << ", model '" << lane.options.model_id << "'";
+  os << ")";
+  return os.str();
+}
+
+Forecast FleetServer::AdmitLocked(Lane* lane, RequestPriority priority) {
+  const int64_t total_depth = TotalDepthLocked();
+  const int64_t capacity = options_.max_queue_depth;
+  const int64_t lane_depth = static_cast<int64_t>(lane->queue.size());
+  const auto reject = [&](RejectReason reason, int64_t retry_after_us,
+                          const std::string& detail) {
+    return Rejection(reason, RejectErrorLocked(*lane, reason, detail),
+                     retry_after_us);
+  };
+
+  // Degradation tier from *total* queue pressure (and the forced-degrade
+  // fault), observed on every Submit.
+  const OverloadTier tier = governor_.Observe(total_depth, capacity);
+  tier_ = tier;
+  degrade_transitions_ = governor_.transitions();
+
+  // Chaos seam "server.admit": scripted admission-path failures surface as
+  // typed, retryable rejections, never a crash or a hung future.
+  if (fault::ConsumeFault("server.admit")) {
+    return reject(RejectReason::kOverloaded, 1000, "admission fault injected");
+  }
+
+  // At kShedding, requests marked low-priority are refused — and so is
+  // every request for the fleet's lowest SLO class, when the fleet has
+  // more than one class: the capacity that remains under sustained
+  // overload serves the higher tiers.
+  if (tier == OverloadTier::kShedding &&
+      (priority == RequestPriority::kLow ||
+       (slo_shed_enabled_ &&
+        lane->options.slo.priority == worst_slo_priority_))) {
+    std::string detail = std::string("tier ") + OverloadTierName(tier);
+    if (slo_shed_enabled_) detail += ", slo " + lane->options.slo.name;
+    return reject(RejectReason::kShedLowPriority,
+                  static_cast<int64_t>(
+                      std::max(shared_admission_.ewma_request_us(), 1000.0) *
+                      static_cast<double>(std::max<int64_t>(total_depth, 1))),
+                  detail);
+  }
+
+  // Shared admission: the hard bound on the total queue plus any
+  // fleet-wide rate limit / EWMA shed.
+  AdmissionDecision decision = shared_admission_.Admit(total_depth, capacity);
+  if (!decision.admitted) {
+    return reject(decision.reason, decision.retry_after_us,
+                  AdmissionDetail(decision.reason, options_.admission,
+                                  shared_admission_.ewma_request_us()));
+  }
+
+  // Cross-model arbitration: once the shared queue is contended, a model
+  // over its weighted share is refused so it cannot squeeze out healthy
+  // tenants. The hint estimates this lane's own drain time.
+  if (arbiter_.QuotaArmed(total_depth)) {
+    const int64_t quota = arbiter_.Quota(lane->options.model_id);
+    if (lane_depth >= quota) {
+      const double per_request_us =
+          std::max({lane->admission->ewma_request_us(),
+                    shared_admission_.ewma_request_us(), 1000.0});
+      return reject(RejectReason::kQuotaExceeded,
+                    static_cast<int64_t>(
+                        per_request_us *
+                        static_cast<double>(std::max<int64_t>(lane_depth, 1))),
+                    "lane " + std::to_string(lane_depth) + "/" +
+                        std::to_string(quota));
+    }
+  }
+
+  // Per-model gate: this tenant's token bucket / EWMA shed (the hard
+  // queue bound is fleet-wide, so capacity 0 here).
+  decision = lane->admission->Admit(lane_depth, 0);
+  if (!decision.admitted) {
+    return reject(decision.reason, decision.retry_after_us,
+                  AdmissionDetail(decision.reason, lane->options.admission,
+                                  lane->admission->ewma_request_us()));
+  }
+  return Forecast();
+}
+
 std::future<Forecast> FleetServer::Submit(const std::string& model_id,
                                           ForecastRequest request) {
   const auto lane_it = lanes_.find(model_id);
   if (lane_it == lanes_.end()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++rejected_unknown_model_;
-    return ResolvedRejection(RejectReason::kBadRequest,
-                             "unknown model '" + model_id + "'", 0);
+    return Resolved(Rejection(RejectReason::kBadRequest,
+                              "unknown model '" + model_id + "'", 0));
   }
   Lane& lane = *lane_it->second;
 
@@ -165,130 +274,38 @@ std::future<Forecast> FleetServer::Submit(const std::string& model_id,
   pending.request = std::move(request);
   pending.enqueued = clock_->Now();
   std::future<Forecast> future = pending.promise.get_future();
-  RejectReason reject = RejectReason::kNone;
-  std::string reject_error;
-  int64_t retry_after_us = 0;
+  Forecast rejection;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // A stopped server says so whatever the payload: shutdown is checked
+    // before validation.
     if (shutdown_) {
-      CountRejectLocked(&lane, RejectReason::kShuttingDown);
-      return ResolvedRejection(RejectReason::kShuttingDown, "shutting down",
-                               0);
-    }
-    if (!validation.empty()) {
-      CountRejectLocked(&lane, RejectReason::kBadRequest);
-      return ResolvedRejection(RejectReason::kBadRequest, validation, 0);
-    }
-
-    const int64_t total_depth = TotalDepthLocked();
-    const int64_t capacity = options_.max_queue_depth;
-    const int64_t lane_depth = static_cast<int64_t>(lane.queue.size());
-
-    // Chaos seam "server.admit", shared with the BatchingServer: scripted
-    // admission-path failures surface as typed, retryable rejections.
-    if (fault::ConsumeFault("server.admit")) {
-      reject = RejectReason::kOverloaded;
-      reject_error = "admission fault injected";
-      retry_after_us = 1000;
-    }
-
-    // Degradation tier from *total* queue pressure. At kShedding, requests
-    // marked low-priority are refused — and so is every request for the
-    // fleet's lowest SLO class, when the fleet has more than one class:
-    // the capacity that remains under sustained overload serves the
-    // higher tiers.
-    const OverloadTier tier = governor_.Observe(total_depth, capacity);
-    tier_ = tier;
-    degrade_transitions_ = governor_.transitions();
-    if (reject == RejectReason::kNone && tier == OverloadTier::kShedding &&
-        (pending.request.priority == RequestPriority::kLow ||
-         (slo_shed_enabled_ &&
-          lane.options.slo.priority == worst_slo_priority_))) {
-      reject = RejectReason::kShedLowPriority;
-      std::ostringstream os;
-      os << "shed (tier=" << OverloadTierName(tier) << ", slo="
-         << lane.options.slo.name << ", fleet queue " << total_depth << "/"
-         << capacity << ")";
-      reject_error = os.str();
-      retry_after_us = static_cast<int64_t>(
-          std::max(shared_admission_.ewma_request_us(), 1000.0) *
-          static_cast<double>(std::max<int64_t>(total_depth, 1)));
-    }
-
-    // Shared admission: the hard bound on the total queue plus any
-    // fleet-wide rate limit / EWMA shed.
-    if (reject == RejectReason::kNone) {
-      const AdmissionDecision decision =
-          shared_admission_.Admit(total_depth, capacity);
-      if (!decision.admitted) {
-        reject = decision.reason;
-        retry_after_us = decision.retry_after_us;
-        std::ostringstream os;
-        os << RejectReasonName(decision.reason) << " (fleet queue "
-           << total_depth << "/" << capacity << ")";
-        reject_error = os.str();
-      }
-    }
-
-    // Cross-model arbitration: once the shared queue is contended, a model
-    // over its weighted share is refused so it cannot squeeze out healthy
-    // tenants. The hint estimates this lane's own drain time.
-    if (reject == RejectReason::kNone && arbiter_.QuotaArmed(total_depth)) {
-      const int64_t quota = arbiter_.Quota(model_id);
-      if (lane_depth >= quota) {
-        reject = RejectReason::kQuotaExceeded;
-        std::ostringstream os;
-        os << "model '" << model_id << "' over quota (" << lane_depth << "/"
-           << quota << " of fleet queue " << total_depth << "/" << capacity
-           << ")";
-        reject_error = os.str();
-        const double per_request_us =
-            std::max({lane.admission->ewma_request_us(),
-                      shared_admission_.ewma_request_us(), 1000.0});
-        retry_after_us = static_cast<int64_t>(
-            per_request_us * static_cast<double>(std::max<int64_t>(
-                                 lane_depth, 1)));
-      }
-    }
-
-    // Per-model gate: this tenant's token bucket / EWMA shed (the hard
-    // queue bound is fleet-wide, so capacity 0 here).
-    if (reject == RejectReason::kNone) {
-      const AdmissionDecision decision = lane.admission->Admit(lane_depth, 0);
-      if (!decision.admitted) {
-        reject = decision.reason;
-        retry_after_us = decision.retry_after_us;
-        std::ostringstream os;
-        os << RejectReasonName(decision.reason) << " (model '" << model_id
-           << "')";
-        reject_error = os.str();
-      }
-    }
-
-    if (reject == RejectReason::kNone) {
-      if (pending.request.deadline_us > 0) {
-        pending.deadline =
-            pending.enqueued +
-            std::chrono::microseconds(pending.request.deadline_us);
-        // Chaos seam "server.deadline": the budget is treated as spent.
-        if (fault::ConsumeFault("server.deadline")) {
-          pending.deadline = pending.enqueued;
-        }
-        pending.has_deadline = true;
-      }
-      lane.queue.push_back(std::move(pending));
-      ++lane.stats.submitted;
-      lane.stats.max_queue_depth_seen =
-          std::max(lane.stats.max_queue_depth_seen,
-                   static_cast<int64_t>(lane.queue.size()));
-      max_total_depth_seen_ =
-          std::max(max_total_depth_seen_, TotalDepthLocked());
+      rejection = Rejection(RejectReason::kShuttingDown, "shutting down", 0);
+    } else if (!validation.empty()) {
+      rejection = Rejection(RejectReason::kBadRequest, validation, 0);
     } else {
-      CountRejectLocked(&lane, reject);
+      rejection = AdmitLocked(&lane, pending.request.priority);
     }
-  }
-  if (reject != RejectReason::kNone) {
-    return ResolvedRejection(reject, std::move(reject_error), retry_after_us);
+    if (rejection.reason != RejectReason::kNone) {
+      CountRejectLocked(&lane, rejection.reason);
+      return Resolved(std::move(rejection));
+    }
+    if (pending.request.deadline_us > 0) {
+      pending.deadline = pending.enqueued +
+                         std::chrono::microseconds(pending.request.deadline_us);
+      // Chaos seam "server.deadline": the budget is treated as spent.
+      if (fault::ConsumeFault("server.deadline")) {
+        pending.deadline = pending.enqueued;
+      }
+      pending.has_deadline = true;
+    }
+    lane.queue.push_back(std::move(pending));
+    ++lane.stats.submitted;
+    lane.stats.max_queue_depth_seen =
+        std::max(lane.stats.max_queue_depth_seen,
+                 static_cast<int64_t>(lane.queue.size()));
+    max_total_depth_seen_ =
+        std::max(max_total_depth_seen_, TotalDepthLocked());
   }
   cv_.notify_all();
   return future;
@@ -397,7 +414,8 @@ void FleetServer::DispatcherLoop() {
     std::shared_ptr<InferenceSession> session = lane.session;
     lock.unlock();
 
-    // Test seam shared with the BatchingServer: a stalled consumer.
+    // Test seam: a slow consumer stalls here, *after* dequeuing — newly
+    // arriving requests must still be served by the next flush.
     if (fault::ConsumeFault("infer.slow_consumer")) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }

@@ -27,12 +27,12 @@
 // are shape- and weight-specialized — so each dispatch picks one model and
 // coalesces only that model's queue.
 //
-// The admission path layers fleet concerns on PR 8's single-model
-// machinery, every rejection typed with a retry hint:
+// The admission path, every rejection typed with a retry hint:
 //
-//   shutdown → validation (kBadRequest) → shared OverloadGovernor tier
-//   (kShedding refuses low-priority requests and the lowest-priority SLO
-//   class) → shared AdmissionController (hard bound on the *total* queue,
+//   shutdown → validation (kBadRequest) → shared OverloadGovernor tier →
+//   "server.admit" fault (kOverloaded) → shedding (kShedding refuses
+//   low-priority requests and the lowest-priority SLO class) → shared
+//   AdmissionController (hard bound on the *total* queue,
 //   fleet-wide rate limit / EWMA shed) → FleetArbiter quota (kQuotaExceeded
 //   once the shared queue is contended and this model is over its weighted
 //   share) → per-model AdmissionController (tenant token bucket / EWMA
@@ -44,13 +44,19 @@
 // ready lanes by strict SLO priority, then weighted-fair virtual time.
 //
 // Hot reload: host(model_id) exposes a per-model SessionHost, so one
-// CheckpointReloader per model stages and swaps exactly as it would
-// against a standalone BatchingServer. A swap touches only its own lane;
-// in-flight batches pin the session they started with.
+// CheckpointReloader per model stages and swaps into its own lane. A swap
+// touches only that lane; in-flight batches pin the session they started
+// with.
 //
-// The chaos fault points "server.admit" and "server.deadline" fire here
-// exactly as in the BatchingServer, so the overload chaos scripts drive
-// fleets too.
+// This is the serving stack's only request dispatcher: a BatchingServer
+// (infer/batching_server.h) is a facade over a one-lane FleetServer. With
+// one lane the arbiter's quota is the whole queue, so kQuotaExceeded never
+// fires before kQueueFull and the lane behaves as a plain bounded server.
+//
+// Every rejection at the shared queue reads "<reason> (depth D/C, active
+// batch B[, detail])", with ", model '<id>'" appended when the fleet has
+// more than one lane. The chaos fault points "server.admit",
+// "server.deadline" and "infer.slow_consumer" fire on this path.
 
 namespace d2stgnn::infer {
 
@@ -72,8 +78,8 @@ struct FleetOptions {
   Clock* clock = nullptr;
 };
 
-/// Per-model traffic counters (a consistent snapshot; the same shape as
-/// BatchingServerStats plus the fleet-only quota reason).
+/// Per-lane traffic counters (a consistent snapshot). BatchingServerStats
+/// is this struct plus the fleet-level tier fields.
 struct FleetModelStats {
   int64_t submitted = 0;
   int64_t rejected = 0;  ///< sum of the rejected_* reasons below
@@ -214,6 +220,13 @@ class FleetServer {
   /// Collects expired entries across all lanes (attributing per-lane
   /// stats). Requires mu_; the caller resolves the result unlocked.
   std::deque<Pending> TakeExpiredLocked(SteadyTime now);
+  /// Runs the admission chain (degrade tier, admit fault, shedding, shared
+  /// gate, quota, per-lane gate) for one request. Returns the rejection,
+  /// or a Forecast with reason kNone when the request may be queued.
+  Forecast AdmitLocked(Lane* lane, RequestPriority priority);
+  /// The one rejection-message builder for the shared queue.
+  std::string RejectErrorLocked(const Lane& lane, RejectReason reason,
+                                const std::string& detail) const;
   void CountRejectLocked(Lane* lane, RejectReason reason);
 
   FleetOptions options_;

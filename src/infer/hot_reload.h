@@ -23,11 +23,11 @@
 // session: a fresh model instance, a transactional checkpoint load, warm-up
 // forwards, plan capture and static verification — all while live traffic
 // keeps running on the old session. Only a shadow that survives every gate
-// is swapped in (SessionHost::SwapSession — a standalone BatchingServer or
-// one model's lane inside a FleetServer); any failure keeps the old
-// session serving and is reported as a typed ReloadStatus, never an
-// exception into the serving path. In-flight batches finish on the weights
-// they started with.
+// is swapped in (SessionHost::SwapSession — one lane of the FleetServer
+// dispatcher, or a BatchingServer, which forwards to its single lane); any
+// failure keeps the old session serving and is reported as a typed
+// ReloadStatus, never an exception into the serving path. In-flight
+// batches finish on the weights they started with.
 //
 // The fault point "infer.hot_reload" fails the staging step (as a scripted
 // corrupt/unreadable checkpoint would); because PollOnce retries the same

@@ -12,7 +12,8 @@
 // A forecast delivered after its window is worthless, so a saturated server
 // must shed early and cheaply rather than queue unboundedly and answer
 // late. Two small, externally-synchronized policy classes implement that
-// (the BatchingServer calls both under its queue mutex):
+// (the serving core, FleetServer, calls both under its queue mutex; a
+// BatchingServer is a one-lane FleetServer):
 //
 //   * AdmissionController — the gate in front of the bounded queue. Rejects
 //     with a *typed* reason (so clients can tell "back off and retry" from
@@ -27,7 +28,7 @@
 //     step down one at a time), so a server hovering at a threshold does
 //     not flap between policies. What each tier *does* — shrink the batch
 //     timer, cap batches to planned sizes, shed low-priority work — lives
-//     in the BatchingServer; the governor only decides the tier.
+//     in the FleetServer's dispatcher; the governor only decides the tier.
 //
 // The fault point "server.degrade" forces the governor to kShedding, so
 // chaos runs can script the worst tier without real pressure.

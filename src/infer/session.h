@@ -25,8 +25,9 @@
 // Warmup additionally captures the forward into an ExecutionPlan per batch
 // size; matching requests then replay the plan (kernels only — no shape
 // checks, no dispatch, no Tensor churn) with bitwise-identical results.
-// Sessions are the unit every serving layer (BatchingServer today; sharding
-// and caching later) composes over.
+// Sessions are the unit every serving layer composes over: the FleetServer
+// dispatcher runs one session per lane, and a BatchingServer is its
+// one-lane facade.
 
 namespace d2stgnn::infer {
 
@@ -113,9 +114,9 @@ struct SessionStats {
 ///
 /// Thread safety: every Predict* call is serialized on an internal mutex
 /// (models are not reentrant; their kernels parallelize internally over the
-/// shared thread pool). Concurrent callers should go through BatchingServer,
-/// which amortizes the model cost over coalesced batches instead of queuing
-/// on the mutex.
+/// shared thread pool). Concurrent callers should go through a
+/// BatchingServer (or a FleetServer lane), which amortizes the model cost
+/// over coalesced batches instead of queuing on the mutex.
 class InferenceSession {
  public:
   /// Loads `checkpoint_path` (v1 or v2; only the params section is used)

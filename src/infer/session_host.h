@@ -9,9 +9,9 @@
 namespace d2stgnn::infer {
 
 /// Anything that serves one (swappable) InferenceSession. CheckpointReloader
-/// stages shadow sessions against this interface, so the same reloader
-/// drives a standalone BatchingServer and a single model inside a
-/// FleetServer — the fleet hands out one SessionHost per model.
+/// stages shadow sessions against this interface. The FleetServer hands
+/// out one SessionHost per lane; a BatchingServer is itself one, forwarding
+/// to the single lane of its private fleet.
 class SessionHost {
  public:
   virtual ~SessionHost() = default;

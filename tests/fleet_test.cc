@@ -364,6 +364,54 @@ TEST_F(FleetServerTest, QuotaRejectsOverSubscribedTenantTyped) {
   EXPECT_EQ(stats.completed, 5);
 }
 
+// The invariant the one-lane BatchingServer facade rests on: a lone lane's
+// quota is the whole shared queue, so once quotas arm (past the
+// arbitration watermark) a full queue still rejects as kQueueFull and the
+// quota path never fires.
+TEST_F(FleetServerTest, OneLaneQueueFullNeverBecomesQuotaExceeded) {
+  fault::FaultScript script;
+  script.kind = fault::FaultKind::kErrno;
+  script.repeat = true;
+  fault::ArmFaultPoint("infer.slow_consumer", script);  // 20ms per batch
+
+  infer::ModelFleet fleet;
+  AddModel(&fleet, "solo", 5, 0, 1.0, /*max_wait_us=*/0,
+           /*max_batch_size=*/1);
+  infer::FleetOptions options;
+  options.max_queue_depth = 2;  // quotas arm at depth 1
+  infer::FleetServer server(&fleet, options);
+
+  std::vector<std::future<infer::Forecast>> futures;
+  for (int i = 0; i < 12; ++i) {
+    futures.push_back(server.Submit("solo", MakeRequest(i)));
+  }
+  int64_t served = 0;
+  int64_t rejected = 0;
+  for (std::future<infer::Forecast>& f : futures) {
+    const infer::Forecast forecast = f.get();
+    if (forecast.ok) {
+      ++served;
+      continue;
+    }
+    EXPECT_EQ(forecast.reason, infer::RejectReason::kQueueFull)
+        << forecast.error;
+    EXPECT_THAT(forecast.error, ::testing::HasSubstr("depth 2/2"));
+    // One lane: the message carries no model id.
+    EXPECT_THAT(forecast.error, ::testing::Not(::testing::HasSubstr("solo")));
+    ++rejected;
+  }
+  EXPECT_GE(rejected, 1) << "a 20ms/request consumer never filled the queue";
+  server.Shutdown();
+
+  const infer::FleetStats stats = server.stats();
+  const infer::FleetModelStats& solo = stats.models.at("solo");
+  EXPECT_EQ(solo.rejected_quota, 0);
+  EXPECT_EQ(solo.rejected_queue_full, rejected);
+  EXPECT_EQ(solo.rejected, rejected);
+  EXPECT_EQ(solo.completed, served);
+  EXPECT_EQ(solo.max_queue_depth_seen, 2);
+}
+
 TEST_F(FleetServerTest, SheddingTierRefusesOnlyWorstSloClass) {
   infer::ModelFleet fleet;
   AddModel(&fleet, "gold", 5, 0, 4.0);

@@ -281,6 +281,18 @@ TEST_F(InferServerTest, SubmitAfterShutdownIsRejected) {
   EXPECT_FALSE(forecast.ok);
   EXPECT_EQ(forecast.error, "shutting down");
   EXPECT_EQ(server.stats().rejected, 1);
+
+  // Shutdown is checked before validation: a malformed request sent to a
+  // stopped server is refused as shutting down, not as a bad request.
+  infer::ForecastRequest bad = MakeRequest(0);
+  bad.window.resize(3);
+  const infer::Forecast late = server.Submit(std::move(bad)).get();
+  EXPECT_FALSE(late.ok);
+  EXPECT_EQ(late.reason, infer::RejectReason::kShuttingDown);
+  const infer::BatchingServerStats stats = server.stats();
+  EXPECT_EQ(stats.rejected, 2);
+  EXPECT_EQ(stats.rejected_shutdown, 2);
+  EXPECT_EQ(stats.rejected_bad_request, 0);
 }
 
 TEST_F(InferServerTest, MalformedRequestRejectedBeforeQueueing) {
