@@ -1,8 +1,12 @@
 // Serving a trained model with the inference engine: an InferenceSession
-// wrapping D2STGNN behind a micro-batching BatchingServer, driven by an
-// open-loop load generator — producers submit on a fixed schedule whether
-// or not earlier requests have finished, like real traffic does — then a
-// latency/throughput report (p50/p95/p99 via metrics::SummarizeLatencies).
+// wrapping D2STGNN behind a micro-batching BatchingServer, driven by the
+// experiment harness's open-loop load driver (experiment/load_driver.h, the
+// one the overload and fleet scenarios use) — producers submit on a fixed
+// schedule whether or not earlier requests have finished, like real
+// traffic does — then a latency/throughput report (p50/p95/p99 via
+// metrics::SummarizeLatencies). The network, request ring, model and
+// session come from the serving scenarios' builders
+// (experiment/serving.h), at the demo's own sizes.
 //
 // The generator runs once per serving mode, each against a fresh session
 // around identically-initialized weights:
@@ -26,7 +30,8 @@
 //   --reload-dir=D  watch D for checkpoints and hot-swap them in under
 //                   live traffic; the demo drops a differently-seeded twin
 //                   checkpoint into D halfway through each run, so the
-//                   post-swap forecasts visibly change mid-load
+//                   post-swap forecasts visibly change mid-load, and waits
+//                   for the swap (exit 1 if the twin cannot be staged)
 //   --reload-poll-ms=N  checkpoint watcher poll period (default 50)
 //
 // Fleet mode (DESIGN.md §14) — one process, many city models:
@@ -46,224 +51,165 @@
 //       --models=metr-la:gold,pems-bay:silver,city-syn:bronze
 //       --qps=600 --reload-dir=/tmp/fleet-demo
 
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <filesystem>
-#include <future>
+#include <cstdio>
+#include <functional>
 #include <memory>
-#include <mutex>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/flags.h"
-#include "common/rng.h"
-#include "core/d2stgnn.h"
-#include "data/sliding_window.h"
-#include "data/synthetic_traffic.h"
+#include "experiment/load_driver.h"
+#include "experiment/serving.h"
 #include "infer/batching_server.h"
 #include "infer/fleet/fleet.h"
 #include "infer/fleet/fleet_server.h"
 #include "infer/hot_reload.h"
-#include "infer/session.h"
 #include "metrics/metrics.h"
 #include "tensor/kernels/registry.h"
-#include "train/checkpoint.h"
 
 using namespace d2stgnn;
+using experiment::CheckpointStage;
+using experiment::FleetTenant;
+using experiment::LoadSample;
+using experiment::ServingConfig;
+using experiment::ServingWorkload;
 
 namespace {
 
-constexpr int64_t kNodes = 20;
-constexpr int64_t kInputLen = 12;
-
-core::D2StgnnConfig ModelConfig(const data::SyntheticTraffic& traffic) {
-  core::D2StgnnConfig config;
-  config.num_nodes = kNodes;
-  config.input_len = kInputLen;
-  config.output_len = 12;
-  config.hidden_dim = 16;
-  config.embed_dim = 8;
-  config.steps_per_day = traffic.dataset.steps_per_day;
-  return config;
+// The demo's serving shape: a 20-sensor network and a two-layer D2STGNN.
+ServingConfig DemoConfig() {
+  ServingConfig c;
+  c.num_nodes = 20;
+  c.hidden_dim = 16;
+  c.embed_dim = 8;
+  c.num_layers = 2;
+  c.num_heads = 4;
+  c.workload_seed = 11;
+  c.model_seed = 3;
+  c.max_batch_size = 8;
+  c.max_wait_us = 1000;
+  c.max_queue_depth = 1024;
+  return c;
 }
 
-std::unique_ptr<core::D2Stgnn> BuildModel(
-    const data::SyntheticTraffic& traffic, uint64_t seed) {
-  Rng rng(seed);
-  return std::make_unique<core::D2Stgnn>(
-      ModelConfig(traffic), traffic.dataset.network.adjacency, rng);
-}
-
-infer::SessionOptions MakeSessionOptions(
-    const data::SyntheticTraffic& traffic, bool use_plans) {
-  infer::SessionOptions session_options;
-  session_options.num_nodes = kNodes;
-  session_options.input_len = kInputLen;
-  session_options.steps_per_day = traffic.dataset.steps_per_day;
-  session_options.use_plans = use_plans;
-  return session_options;
-}
-
-// Overload-resilience knobs threaded from main into each load run.
+// Load knobs threaded from main into each run.
 struct LoadConfig {
+  double rate_rps = 200.0;   // aggregate, split evenly across the streams
+  double seconds = 2.0;
   int64_t deadline_us = 0;   // 0 = no deadline
   std::string reload_dir;    // empty = no hot-reload watcher
   int64_t reload_poll_ms = 50;
-  bool use_plans = false;
-  const data::SyntheticTraffic* traffic = nullptr;
-  const data::StandardScaler* scaler = nullptr;
 };
 
+using SubmitFn = std::function<std::future<infer::Forecast>(
+    size_t stream, infer::ForecastRequest request)>;
+
+// Drives `streams` open-loop streams sharing load.rate_rps, stream i
+// cycling through ring entries i, i + streams, ...; when `reloader` is
+// set, drops `stage`'s twin checkpoint halfway through the run and then
+// waits for the swap. Returns per-stream samples and the run's wall time;
+// a staging failure lands in `error`.
+std::vector<std::vector<LoadSample>> DriveLoad(
+    const LoadConfig& load, size_t streams, const ServingWorkload& w,
+    const SubmitFn& submit, CheckpointStage* stage,
+    const infer::CheckpointReloader* reloader, double* elapsed_s,
+    std::string* error) {
+  std::vector<experiment::LoadStream> lanes(streams);
+  for (size_t i = 0; i < streams; ++i) {
+    lanes[i].rate_rps = load.rate_rps / static_cast<double>(streams);
+    lanes[i].submit = [&, i](int64_t seq) {
+      infer::ForecastRequest request =
+          w.ring[(static_cast<size_t>(seq) * streams + i) % w.ring.size()];
+      request.deadline_us = load.deadline_us;
+      return submit(i, std::move(request));
+    };
+  }
+  experiment::OpenLoopOptions options;
+  options.window_s = load.seconds;
+  options.on_tick = [&](double elapsed) {
+    return stage->DropAt(elapsed, load.seconds / 2.0, error);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  auto samples = experiment::RunOpenLoop(lanes, options);
+  *elapsed_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  if (reloader != nullptr && error->empty()) {
+    stage->WaitForSwap(*reloader, error);
+  }
+  return samples;
+}
+
 // Drives the open-loop load against one session and prints its report.
-// Returns false on setup failure.
+// Returns false on setup or hot-reload failure.
 bool RunLoad(infer::InferenceSession* session, const char* label,
-             const std::vector<infer::ForecastRequest>& ring, double rate_rps,
-             double seconds, int producers, const LoadConfig& load) {
+             bool use_plans, const ServingWorkload& w, const ServingConfig& c,
+             int producers, const LoadConfig& load) {
   infer::BatchingOptions batching;
-  batching.max_batch_size = 8;
-  batching.max_wait_us = 1000;
-  batching.max_queue_depth = 1024;
+  batching.max_batch_size = c.max_batch_size;
+  batching.max_wait_us = c.max_wait_us;
+  batching.max_queue_depth = c.max_queue_depth;
   infer::BatchingServer server(session, batching);
 
   // Hot-reload: watch --reload-dir and swap staged checkpoints in while
   // the producers keep submitting. The demo seeds the directory itself: a
   // twin model (different weights, same architecture) is checkpointed
   // halfway through the run, so the swap happens under live traffic.
+  CheckpointStage stage;
   std::unique_ptr<infer::CheckpointReloader> reloader;
-  std::thread checkpoint_dropper;
-  std::string watch_dir;
+  std::string error;
   if (!load.reload_dir.empty()) {
     // Per-mode subdirectory so --mode=both does not replay the eager run's
     // checkpoint into the plan run at t=0.
-    watch_dir = load.reload_dir + "/" + label;
-    std::filesystem::create_directories(watch_dir);
+    if (!experiment::StageTwin(w, c, c.model_seed,
+                               load.reload_dir + "/" + label,
+                               /*fresh=*/false, &stage, nullptr, &error)) {
+      std::fprintf(stderr, "[%s] %s\n", label, error.c_str());
+      return false;
+    }
     infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir;
+    reload_options.directory = stage.dir();
     reload_options.poll_interval_ms = load.reload_poll_ms;
-    const data::SyntheticTraffic& traffic = *load.traffic;
     reloader = std::make_unique<infer::CheckpointReloader>(
-        &server, [&traffic] { return BuildModel(traffic, 3); }, *load.scaler,
-        MakeSessionOptions(traffic, load.use_plans), reload_options);
+        &server, [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
+        w.scaler, ServingSessionOptions(w, c, use_plans), reload_options);
     reloader->Start();
-    checkpoint_dropper = std::thread([&traffic, &watch_dir, seconds] {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(seconds / 2.0));
-      const std::unique_ptr<core::D2Stgnn> twin = BuildModel(traffic, 7);
-      const std::string path = train::CheckpointPathForStep(watch_dir, 1);
-      if (!train::SaveCheckpoint(*twin, path)) {
-        std::fprintf(stderr, "checkpoint drop failed: %s\n", path.c_str());
-      }
-    });
   }
 
   std::printf("\n[%s] open-loop load: %.0f req/s for %.1f s from %d "
               "producer%s\n",
-              label, rate_rps, seconds, producers, producers == 1 ? "" : "s");
-
-  using clock = std::chrono::steady_clock;
-  struct InFlight {
-    clock::time_point submitted;
-    std::future<infer::Forecast> future;
-  };
-  // Each producer hands its in-flight requests to a harvester thread that
-  // waits on the futures in submission order, so latency is stamped when a
-  // forecast arrives, not when a post-run sweep gets around to it.
-  struct ProducerLane {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<InFlight> pending;
-    bool done = false;
-    std::vector<double> latencies_ms;
-    int64_t shed = 0;
-    int64_t expired = 0;
-  };
-  std::vector<ProducerLane> lanes(static_cast<size_t>(producers));
-  const auto interval = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(static_cast<double>(producers) /
-                                    rate_rps));
-  const auto bench_start = clock::now();
-  const auto bench_end =
-      bench_start + std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(seconds));
-
-  std::vector<std::thread> workers;
-  for (int p = 0; p < producers; ++p) {
-    ProducerLane& lane = lanes[static_cast<size_t>(p)];
-    workers.emplace_back([&, p] {
-      auto next = bench_start + interval * p / producers;
-      size_t i = static_cast<size_t>(p);
-      while (next < bench_end) {
-        std::this_thread::sleep_until(next);
-        infer::ForecastRequest request = ring[i % ring.size()];
-        request.deadline_us = load.deadline_us;
-        InFlight entry{clock::now(), server.Submit(std::move(request))};
-        {
-          std::lock_guard<std::mutex> hold(lane.mu);
-          lane.pending.push_back(std::move(entry));
-        }
-        lane.cv.notify_one();
-        i += static_cast<size_t>(producers);
-        next += interval;  // open loop: the schedule never waits on results
-      }
-      {
-        std::lock_guard<std::mutex> hold(lane.mu);
-        lane.done = true;
-      }
-      lane.cv.notify_one();
-    });
-    workers.emplace_back([&lane] {
-      for (;;) {
-        std::unique_lock<std::mutex> hold(lane.mu);
-        lane.cv.wait(hold,
-                     [&lane] { return lane.done || !lane.pending.empty(); });
-        if (lane.pending.empty()) break;
-        InFlight entry = std::move(lane.pending.front());
-        lane.pending.pop_front();
-        hold.unlock();
-        const infer::Forecast forecast = entry.future.get();
-        if (forecast.ok) {
-          lane.latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(clock::now() -
-                                                        entry.submitted)
-                  .count());
-        } else if (forecast.reason ==
-                   infer::RejectReason::kDeadlineExceeded) {
-          ++lane.expired;  // went stale waiting in the queue
-        } else {
-          ++lane.shed;  // typed admission reject under overload
-        }
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - bench_start).count();
-  if (checkpoint_dropper.joinable()) checkpoint_dropper.join();
+              label, load.rate_rps, load.seconds, producers,
+              producers == 1 ? "" : "s");
+  double elapsed = 0.0;
+  const auto samples = DriveLoad(
+      load, static_cast<size_t>(producers), w,
+      [&](size_t, infer::ForecastRequest request) {
+        return server.Submit(std::move(request));
+      },
+      &stage, reloader.get(), &elapsed, &error);
   reloader.reset();  // stop the watcher before the server drains
   server.Shutdown();
-
-  std::vector<double> latencies_ms;
-  int64_t shed = 0;
-  int64_t expired = 0;
-  for (const ProducerLane& lane : lanes) {
-    latencies_ms.insert(latencies_ms.end(), lane.latencies_ms.begin(),
-                        lane.latencies_ms.end());
-    shed += lane.shed;
-    expired += lane.expired;
+  if (!error.empty()) {
+    std::fprintf(stderr, "[%s] %s\n", label, error.c_str());
+    return false;
   }
 
+  std::vector<LoadSample> all;
+  for (const std::vector<LoadSample>& lane : samples) {
+    all.insert(all.end(), lane.begin(), lane.end());
+  }
+  const experiment::WindowTally tally = experiment::TallyWindows(all, 1)[0];
   const metrics::LatencyStats stats =
-      metrics::SummarizeLatencies(latencies_ms);
+      metrics::SummarizeLatencies(tally.latencies_ms);
   const infer::BatchingServerStats server_stats = server.stats();
   std::printf("[%s] served %lld requests in %.2f s (%.1f req/s), "
               "%lld shed, %lld expired\n",
               label, static_cast<long long>(stats.count), elapsed,
               static_cast<double>(stats.count) / elapsed,
-              static_cast<long long>(shed), static_cast<long long>(expired));
+              static_cast<long long>(tally.shed),
+              static_cast<long long>(tally.expired));
   std::printf("[%s] latency: p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  "
               "max %.3f ms\n",
               label, stats.p50, stats.p95, stats.p99, stats.max);
@@ -288,11 +234,11 @@ bool RunLoad(infer::InferenceSession* session, const char* label,
                 static_cast<long long>(server_stats.expired_deadlines),
                 infer::OverloadTierName(server_stats.tier));
   }
-  if (!watch_dir.empty()) {
+  if (stage.open()) {
     std::printf("[%s] hot-reload: %lld session swap%s from %s\n", label,
                 static_cast<long long>(server_stats.session_swaps),
                 server_stats.session_swaps == 1 ? "" : "s",
-                watch_dir.c_str());
+                stage.dir().c_str());
   }
   const infer::SessionStats session_stats = session->session_stats();
   if (session_stats.plans_built > 0) {
@@ -306,210 +252,60 @@ bool RunLoad(infer::InferenceSession* session, const char* label,
   return true;
 }
 
-// A session over deterministically-seeded weights. A real deployment would
-// InferenceSession::Load() a trained checkpoint instead of Wrap()-ing fresh
-// weights; the serving path is identical.
-std::unique_ptr<infer::InferenceSession> BuildSession(
-    const data::SyntheticTraffic& traffic, const data::StandardScaler& scaler,
-    bool use_plans) {
-  return infer::InferenceSession::Wrap(BuildModel(traffic, 3), scaler,
-                                       MakeSessionOptions(traffic, use_plans));
-}
-
-// One --models tenant: a routing id plus its serving tier.
-struct FleetPreset {
-  std::string id;
-  infer::SloClass slo;
-};
-
-// Parses "id" or "id:slo" entries from a comma-separated --models value.
-bool ParseFleetPresets(const std::string& models,
-                       std::vector<FleetPreset>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= models.size()) {
-    const size_t comma = std::min(models.find(',', pos), models.size());
-    std::string entry = models.substr(pos, comma - pos);
-    pos = comma + 1;
-    // Trim surrounding spaces so "a:gold, b:silver" parses.
-    const size_t first = entry.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    entry = entry.substr(first, entry.find_last_not_of(" \t") - first + 1);
-    FleetPreset preset;
-    const size_t colon = entry.find(':');
-    preset.id = colon == std::string::npos ? entry : entry.substr(0, colon);
-    if (preset.id.empty()) {
-      std::fprintf(stderr, "--models entry '%s' has an empty model id\n",
-                   entry.c_str());
-      return false;
-    }
-    if (colon != std::string::npos &&
-        !infer::ResolveSloClass(entry.substr(colon + 1), &preset.slo)) {
-      std::fprintf(stderr,
-                   "--models entry '%s' names an unknown SLO class "
-                   "(known: gold, silver, bronze)\n",
-                   entry.c_str());
-      return false;
-    }
-    for (const FleetPreset& other : *out) {
-      if (other.id == preset.id) {
-        std::fprintf(stderr, "--models lists '%s' twice\n", preset.id.c_str());
-        return false;
-      }
-    }
-    out->push_back(std::move(preset));
-  }
-  if (out->empty()) {
-    std::fprintf(stderr, "--models lists no models\n");
+// Fleet mode: every tenant behind one FleetServer, one open-loop stream
+// per model, then a per-model report table. Returns false on setup or
+// hot-reload failure.
+bool RunFleetLoad(const std::vector<FleetTenant>& tenants,
+                  const ServingWorkload& w, const ServingConfig& c,
+                  const LoadConfig& load) {
+  infer::ModelFleet fleet;
+  std::string error;
+  if (!experiment::AddFleetTenants(w, c, tenants, &fleet, &error)) {
+    std::fprintf(stderr, "fleet setup failed: %s\n", error.c_str());
     return false;
   }
-  return true;
-}
-
-// Fleet mode: every tenant behind one FleetServer, open-loop producers per
-// model, then a per-model report table. Returns false on setup failure.
-bool RunFleetLoad(const std::vector<FleetPreset>& presets,
-                  const std::vector<infer::ForecastRequest>& ring,
-                  double rate_rps, double seconds, const LoadConfig& load) {
-  const data::SyntheticTraffic& traffic = *load.traffic;
-  infer::ModelFleet fleet;
-  for (size_t i = 0; i < presets.size(); ++i) {
-    // Distinct weights per tenant, spaced so the reload twin (seed + 1)
-    // cannot collide with another tenant's seed.
-    const uint64_t seed = 3 + 16 * (static_cast<uint64_t>(i) + 1);
-    auto session = infer::InferenceSession::Wrap(
-        BuildModel(traffic, seed), *load.scaler,
-        MakeSessionOptions(traffic, /*use_plans=*/true));
-    if (session == nullptr) return false;
-    infer::FleetModelOptions model_options;
-    model_options.model_id = presets[i].id;
-    model_options.slo = presets[i].slo;
-    model_options.max_batch_size = 8;
-    model_options.max_wait_us = 1000;
-    std::string error;
-    if (!fleet.AddModel(std::shared_ptr<infer::InferenceSession>(
-                            session.release()),
-                        model_options, &error)) {
-      std::fprintf(stderr, "fleet setup failed: %s\n", error.c_str());
-      return false;
-    }
-  }
   infer::FleetOptions fleet_options;
-  fleet_options.max_queue_depth = 1024;
+  fleet_options.max_queue_depth = c.max_queue_depth;
   infer::FleetServer server(&fleet, fleet_options);
 
   // Hot reload in fleet mode: the watcher targets the *first* tenant's
   // lane; every other lane must ride out the swap untouched.
-  const std::string reload_id = presets.front().id;
-  std::thread checkpoint_dropper;
-  std::string watch_dir;
+  const FleetTenant& reloaded = tenants.front();
+  CheckpointStage stage;
   if (!load.reload_dir.empty()) {
-    watch_dir = load.reload_dir + "/fleet-" + reload_id;
-    std::filesystem::create_directories(watch_dir);
     infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir;
+    reload_options.directory = load.reload_dir + "/fleet-" + reloaded.id;
     reload_options.poll_interval_ms = load.reload_poll_ms;
-    std::string error;
-    if (!fleet.AttachReloader(reload_id, server.host(reload_id),
-                              [&traffic] { return BuildModel(traffic, 3); },
-                              *load.scaler,
-                              MakeSessionOptions(traffic, /*use_plans=*/true),
-                              reload_options, &error)) {
+    if (!experiment::StageTwin(w, c, reloaded.seed, reload_options.directory,
+                               /*fresh=*/false, &stage, nullptr, &error) ||
+        !fleet.AttachReloader(
+            reloaded.id, server.host(reloaded.id),
+            [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
+            w.scaler, ServingSessionOptions(w, c, /*use_plans=*/true),
+            reload_options, &error)) {
       std::fprintf(stderr, "fleet reloader failed: %s\n", error.c_str());
       return false;
     }
     fleet.StartReloaders();
-    checkpoint_dropper = std::thread([&traffic, &watch_dir, seconds] {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(seconds / 2.0));
-      const std::unique_ptr<core::D2Stgnn> twin = BuildModel(traffic, 7);
-      const std::string path = train::CheckpointPathForStep(watch_dir, 1);
-      if (!train::SaveCheckpoint(*twin, path)) {
-        std::fprintf(stderr, "checkpoint drop failed: %s\n", path.c_str());
-      }
-    });
   }
 
   std::printf("\n[fleet] open-loop load: %.0f req/s split across %zu "
               "model%s for %.1f s\n",
-              rate_rps, presets.size(), presets.size() == 1 ? "" : "s",
-              seconds);
-
-  using clock = std::chrono::steady_clock;
-  struct TenantLane {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::pair<clock::time_point, std::future<infer::Forecast>>>
-        pending;
-    bool done = false;
-    std::vector<double> latencies_ms;
-  };
-  std::vector<std::unique_ptr<TenantLane>> lanes;
-  for (size_t i = 0; i < presets.size(); ++i) {
-    lanes.push_back(std::make_unique<TenantLane>());
-  }
-  const double per_model_rps =
-      rate_rps / static_cast<double>(presets.size());
-  const auto interval = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(1.0 / per_model_rps));
-  const auto bench_start = clock::now();
-  const auto bench_end =
-      bench_start + std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(seconds));
-
-  std::vector<std::thread> workers;
-  for (size_t m = 0; m < presets.size(); ++m) {
-    TenantLane& lane = *lanes[m];
-    const std::string& id = presets[m].id;
-    workers.emplace_back([&, m] {
-      auto next = bench_start + interval * static_cast<int64_t>(m) /
-                                    static_cast<int64_t>(presets.size());
-      size_t i = m;
-      while (next < bench_end) {
-        std::this_thread::sleep_until(next);
-        infer::ForecastRequest request = ring[i % ring.size()];
-        request.deadline_us = load.deadline_us;
-        auto future = server.Submit(id, std::move(request));
-        {
-          std::lock_guard<std::mutex> hold(lane.mu);
-          lane.pending.emplace_back(clock::now(), std::move(future));
-        }
-        lane.cv.notify_one();
-        i += presets.size();
-        next += interval;  // open loop: never waits on results
-      }
-      {
-        std::lock_guard<std::mutex> hold(lane.mu);
-        lane.done = true;
-      }
-      lane.cv.notify_one();
-    });
-    workers.emplace_back([&lane] {
-      for (;;) {
-        std::unique_lock<std::mutex> hold(lane.mu);
-        lane.cv.wait(hold,
-                     [&lane] { return lane.done || !lane.pending.empty(); });
-        if (lane.pending.empty()) break;
-        auto entry = std::move(lane.pending.front());
-        lane.pending.pop_front();
-        hold.unlock();
-        const infer::Forecast forecast = entry.second.get();
-        if (forecast.ok) {
-          lane.latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(clock::now() -
-                                                        entry.first)
-                  .count());
-        }
-        // Rejects are tallied from the server's typed per-model counters.
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - bench_start).count();
-  if (checkpoint_dropper.joinable()) checkpoint_dropper.join();
+              load.rate_rps, tenants.size(), tenants.size() == 1 ? "" : "s",
+              load.seconds);
+  double elapsed = 0.0;
+  const auto samples = DriveLoad(
+      load, tenants.size(), w,
+      [&](size_t m, infer::ForecastRequest request) {
+        return server.Submit(tenants[m].id, std::move(request));
+      },
+      &stage, fleet.reloader(reloaded.id), &elapsed, &error);
   fleet.StopReloaders();
   server.Shutdown();
+  if (!error.empty()) {
+    std::fprintf(stderr, "[fleet] %s\n", error.c_str());
+    return false;
+  }
 
   const infer::FleetStats stats = server.stats();
   std::printf("[fleet] %lld served / %lld offered in %.2f s (tier %s, "
@@ -521,10 +317,10 @@ bool RunFleetLoad(const std::vector<FleetPreset>& presets,
   std::printf("  %-12s %-8s %9s %9s %9s %9s %28s %6s\n", "model", "slo",
               "served", "p50 ms", "p99 ms", "shed",
               "rejects (q/rate/over/low/quota)", "swaps");
-  for (size_t m = 0; m < presets.size(); ++m) {
-    const infer::FleetModelStats& ms = stats.models.at(presets[m].id);
-    const metrics::LatencyStats lat =
-        metrics::SummarizeLatencies(lanes[m]->latencies_ms);
+  for (size_t m = 0; m < tenants.size(); ++m) {
+    const infer::FleetModelStats& ms = stats.models.at(tenants[m].id);
+    const metrics::LatencyStats lat = metrics::SummarizeLatencies(
+        experiment::TallyWindows(samples[m], 1)[0].latencies_ms);
     char rejects[64];
     std::snprintf(rejects, sizeof(rejects),
                   "%lld/%lld/%lld/%lld/%lld",
@@ -534,16 +330,16 @@ bool RunFleetLoad(const std::vector<FleetPreset>& presets,
                   static_cast<long long>(ms.rejected_low_priority),
                   static_cast<long long>(ms.rejected_quota));
     std::printf("  %-12s %-8s %9lld %9.3f %9.3f %9lld %28s %6lld\n",
-                presets[m].id.c_str(), presets[m].slo.name.c_str(),
+                tenants[m].id.c_str(), tenants[m].slo.name.c_str(),
                 static_cast<long long>(ms.completed), lat.p50, lat.p99,
                 static_cast<long long>(ms.rejected + ms.expired_deadlines),
                 rejects, static_cast<long long>(ms.session_swaps));
   }
-  if (!watch_dir.empty()) {
+  if (stage.open()) {
     std::printf("[fleet] hot-reload: %lld swap%s on '%s' from %s\n",
                 static_cast<long long>(stats.session_swaps),
-                stats.session_swaps == 1 ? "" : "s", reload_id.c_str(),
-                watch_dir.c_str());
+                stats.session_swaps == 1 ? "" : "s", reloaded.id.c_str(),
+                stage.dir().c_str());
   }
   return true;
 }
@@ -627,60 +423,45 @@ int main(int argc, char** argv) {
   std::printf("kernel backend: %s (detected: %s)\n",
               kernels::ActiveBackend().name, kernels::DetectedBackendName());
 
-  // A road network to serve forecasts for.
-  data::SyntheticTrafficOptions traffic_options;
-  traffic_options.network.num_nodes = kNodes;
-  traffic_options.num_steps = 600;
-  traffic_options.seed = 11;
-  const data::SyntheticTraffic traffic =
-      data::GenerateSyntheticTraffic(traffic_options);
-  data::StandardScaler scaler;
-  scaler.Fit(traffic.dataset.values, 400, true);
-
-  // A ring of real sensor windows to request forecasts for.
-  std::vector<infer::ForecastRequest> ring;
-  const std::vector<float>& values = traffic.dataset.values.Data();
-  for (int64_t start = 0; start < 64; ++start) {
-    infer::ForecastRequest request;
-    request.window.assign(values.data() + start * kNodes,
-                          values.data() + (start + kInputLen) * kNodes);
-    request.time_of_day = traffic.dataset.TimeOfDay(start);
-    request.day_of_week = traffic.dataset.DayOfWeek(start);
-    ring.push_back(std::move(request));
-  }
+  // A road network to serve forecasts for, and a ring of real sensor
+  // windows to request forecasts for.
+  ServingConfig c = DemoConfig();
+  const ServingWorkload w = experiment::BuildServingWorkload(c);
 
   LoadConfig load;
+  load.rate_rps = rate_rps;
+  load.seconds = seconds;
   load.deadline_us = static_cast<int64_t>(deadline_ms * 1000.0);
   load.reload_dir = reload_dir;
   load.reload_poll_ms = reload_poll_ms;
-  load.traffic = &traffic;
-  load.scaler = &scaler;
 
   if (fleet_mode) {
-    std::vector<FleetPreset> presets;
-    if (!ParseFleetPresets(models, &presets)) return 1;
-    return RunFleetLoad(presets, ring, rate_rps, seconds, load) ? 0 : 1;
+    std::istringstream entries(models);
+    for (std::string entry; std::getline(entries, entry, ',');) {
+      c.fleet_models.push_back(entry);
+    }
+    c.fleet_hot_swap = !reload_dir.empty();
+    std::vector<FleetTenant> tenants;
+    std::string error;
+    if (!experiment::ParseFleetTenants(c, &tenants, &error)) {
+      std::fprintf(stderr, "%s: --models: %s\n", argv[0], error.c_str());
+      return 1;
+    }
+    return RunFleetLoad(tenants, w, c, load) ? 0 : 1;
   }
 
   std::unique_ptr<infer::InferenceSession> last_session;
-  if (run_eager) {
-    auto session = BuildSession(traffic, scaler, /*use_plans=*/false);
-    if (session == nullptr) return 1;
-    load.use_plans = false;
-    if (!RunLoad(session.get(), "eager", ring, rate_rps, seconds, producers,
-                 load)) {
-      return 1;
-    }
-    last_session = std::move(session);
-  }
-  if (run_plan) {
-    auto session = BuildSession(traffic, scaler, /*use_plans=*/true);
-    if (session == nullptr) return 1;
-    // The BatchingServer warms up sizes 1 and max_batch_size on
-    // construction, so the load runs against captured plans from the start.
-    load.use_plans = true;
-    if (!RunLoad(session.get(), "plan", ring, rate_rps, seconds, producers,
-                 load)) {
+  for (const bool use_plans : {false, true}) {
+    if (!(use_plans ? run_plan : run_eager)) continue;
+    // A session over deterministically-seeded weights. A real deployment
+    // would InferenceSession::Load() a trained checkpoint instead; the
+    // serving path is identical. With plans on, the BatchingServer warms
+    // sizes 1 and max_batch_size on construction, so the load runs against
+    // captured plans from the start.
+    auto session = experiment::BuildServingSession(w, c, use_plans);
+    if (session == nullptr ||
+        !RunLoad(session.get(), use_plans ? "plan" : "eager", use_plans, w, c,
+                 producers, load)) {
       return 1;
     }
     last_session = std::move(session);
@@ -688,7 +469,7 @@ int main(int argc, char** argv) {
 
   // One forecast, end to end, for show: the model's 12-step speed forecast
   // for sensor 0.
-  const infer::Forecast sample = last_session->PredictOne(ring[0]);
+  const infer::Forecast sample = last_session->PredictOne(w.ring[0]);
   if (sample.ok) {
     std::printf("\nsensor 0 forecast (mph):");
     for (int64_t t = 0; t < sample.horizon; ++t) {

@@ -6,12 +6,17 @@
 #      with D2STGNN_FORCE_BACKEND=scalar, proving the kernel-backend env
 #      override reaches every layer and the scalar reference path stays
 #      green on SIMD hosts.
+#   1b. Serving demo     — examples/serve_forecasts, the open-loop CLI over
+#      the shared load driver, runs once per mode and once in fleet mode,
+#      each with a mid-run checkpoint hot reload that must land exactly
+#      once.
 #   2. ThreadSanitizer    — the execution-layer and tensor tests, to catch
 #      data races in the thread pool and parallel kernels.
 #   3. Inference suite    — the inference session and the single serving
 #      core (FleetServer's dispatcher and the one-lane BatchingServer
 #      facade over it) under TSan (concurrent submitters), plus the
-#      overload/admission and checkpoint hot-reload suites, then the smoke
+#      overload/admission, checkpoint hot-reload and open-loop load driver
+#      (producer/harvester threads) suites, then the smoke
 #      serving spec through run_experiment, asserting the emitted JSON is
 #      schema-versioned and well-formed.
 #   3b. Chaos smoke       — the overload scenario (specs/smoke_overload.spec)
@@ -78,6 +83,27 @@ D2STGNN_FORCE_BACKEND=scalar ctest --test-dir build --output-on-failure \
   -R 'Tensor|Backend|UlpDiff|MemoryPlanner|ZooCapture|GraphCapture|ExecSession|InferSession|InferServer|Fleet' \
   --no-tests=error
 
+echo "=== Serving demo: serve_forecasts eager/plan and fleet runs ==="
+demo_dir="$(mktemp -d)"
+demo_output="$(build/examples/serve_forecasts 100 1 2 --mode=both \
+  --deadline-ms=200 --reload-dir="$demo_dir/modes")"
+for mode in eager plan; do
+  if ! grep -q "^\[$mode\] hot-reload: 1 session swap " <<< "$demo_output"; then
+    echo "FAIL: serve_forecasts --mode=both: no '1 session swap' for $mode" >&2
+    echo "$demo_output" >&2
+    exit 1
+  fi
+done
+fleet_output="$(build/examples/serve_forecasts --fleet \
+  --models=a:gold,b:bronze --qps=100 --reload-dir="$demo_dir/fleet")"
+if ! grep -q "1 swap on 'a'" <<< "$fleet_output"; then
+  echo "FAIL: serve_forecasts --fleet: no '1 swap on 'a''" >&2
+  echo "$fleet_output" >&2
+  exit 1
+fi
+rm -rf "$demo_dir"
+echo "serve_forecasts: one hot swap per eager/plan run and on fleet tenant 'a'"
+
 if [[ "${1:-}" == "--release-only" ]]; then
   exit 0
 fi
@@ -93,9 +119,9 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
 echo "=== Inference suite: serving core under TSan + serving smoke ==="
 cmake --build build-tsan -j "$(nproc)" \
   --target infer_server_test infer_session_test overload_test \
-  hot_reload_test fleet_test
+  hot_reload_test fleet_test load_driver_test
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-  -R 'InferServer|InferSession|RejectReason|Admission|Overload|Backoff|HotReload|Fleet' \
+  -R 'InferServer|InferSession|RejectReason|Admission|Overload|Backoff|HotReload|Fleet|LoadDriver' \
   --no-tests=error
 cmake --build build -j "$(nproc)" --target run_experiment
 smoke_out="build/experiment-smoke"

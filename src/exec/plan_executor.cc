@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "tensor/kernels.h"
 #include "tensor/kernels/registry.h"
 
 namespace d2stgnn::exec {
@@ -54,6 +55,15 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecutionPlan> plan)
     } else if (!step.baked_indices.empty()) {
       state.indices = &step.baked_indices;
     }
+  }
+
+  for (const auto& [begin, end] : plan_->levels()) {
+    int64_t level_floats = 0;
+    for (int32_t s = begin; s < end; ++s) {
+      level_floats += states_[static_cast<size_t>(s)].output_numel;
+    }
+    parallel_levels_.push_back(end - begin > 1 &&
+                               level_floats >= kernels::kEwiseGrain);
   }
 }
 
@@ -121,8 +131,9 @@ ReplayStatus PlanExecutor::Run(
         index_inputs[static_cast<size_t>(patch.index_id)];
   }
 
-  for (const auto& [begin, end] : plan_->levels()) {
-    if (mode == ReplayMode::kLevelParallel && end - begin > 1) {
+  for (size_t l = 0; l < plan_->levels().size(); ++l) {
+    const auto& [begin, end] = plan_->levels()[l];
+    if (mode == ReplayMode::kLevelParallel && parallel_levels_[l]) {
       // Steps of one level write disjoint slots, so any interleaving is
       // race-free. Their inner kernels run serially (nested ParallelFor),
       // but chunk boundaries — hence results — are unchanged.
@@ -130,7 +141,7 @@ ReplayStatus PlanExecutor::Run(
         for (int64_t s = lo; s < hi; ++s) RunStep(static_cast<size_t>(s));
       });
     } else {
-      // Single-step levels bypass ParallelFor so the step's own kernel can
+      // Inline levels bypass ParallelFor so each step's own kernel can
       // still parallelize (ParallelFor marks even its serial path as a
       // parallel region, which would force nested calls serial).
       for (int32_t s = begin; s < end; ++s) RunStep(static_cast<size_t>(s));

@@ -88,6 +88,12 @@ class PlanExecutor {
     const std::vector<int64_t>* indices = nullptr;
   };
   std::vector<StepState> states_;
+  /// Per plan level: whether kLevelParallel spreads its steps over the
+  /// thread pool. Levels of one step, or whose steps together write fewer
+  /// than kEwiseGrain floats, run inline — a pool dispatch costs more than
+  /// such a level's work, and waking workers per level dominated replay of
+  /// small plans on multi-core hosts.
+  std::vector<bool> parallel_levels_;
   /// Positions in pointer_pool_ to patch from the caller's input bindings.
   struct InputPatch {
     size_t pool_pos = 0;

@@ -1,42 +1,19 @@
 #include "experiment/runner.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <deque>
-#include <filesystem>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "baselines/historical_average.h"
 #include "baselines/linear_svr.h"
 #include "baselines/var.h"
 #include "common/thread_pool.h"
-#include "core/d2stgnn.h"
 #include "data/synthetic_traffic.h"
 #include "experiment/metrics_sink.h"
 #include "experiment/protocol.h"
 #include "experiment/registry.h"
 #include "experiment/regression_gate.h"
+#include "experiment/serving.h"
 #include "graph/sensor_graph.h"
-#include "common/fault_injection.h"
-#include "infer/batching_server.h"
-#include "infer/fleet/fleet.h"
-#include "infer/fleet/fleet_server.h"
-#include "infer/hot_reload.h"
-#include "infer/retry.h"
-#include "infer/session.h"
-#include "tensor/kernels/registry.h"
-#include "train/checkpoint.h"
-#include "metrics/metrics.h"
 #include "train/evaluator.h"
 
 namespace d2stgnn::experiment {
@@ -44,8 +21,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Spec -> typed configurations. Every key a kind understands is consumed
-// here (or in the Resolve* calls), so Spec::Validate() afterwards reports
-// exactly the keys nobody understands.
+// here, in ParseServingConfig (serving.cc), or in the Resolve* calls, so
+// Spec::Validate() afterwards reports exactly the keys nobody understands.
 
 struct TrainingConfig {
   std::vector<std::string> datasets;
@@ -74,206 +51,6 @@ TrainingConfig ParseTrainingConfig(const Spec& spec) {
       spec.GetInt("trainer", "seed", static_cast<int64_t>(env.seed)));
   env.threads = GetNumThreads();
   return config;
-}
-
-struct ServingConfig {
-  // [model] — the served D2STGNN.
-  int64_t num_nodes = 4;
-  int64_t input_len = 12;
-  int64_t output_len = 12;
-  int64_t hidden_dim = 8;
-  int64_t embed_dim = 4;
-  int64_t num_layers = 1;
-  int64_t num_heads = 2;
-  uint64_t model_seed = 3;
-  // [workload] — the request stream.
-  int64_t num_steps = 600;
-  uint64_t workload_seed = 17;
-  int64_t ring_size = 64;
-  // [serving] — what to sweep.
-  std::vector<std::string> scenarios;
-  std::vector<int64_t> threads;
-  std::vector<int64_t> batch_sizes;
-  /// Kernel backends to sweep ("auto" = whatever startup selection picked).
-  /// Sessions are rebuilt per backend so plans are captured and replayed
-  /// under the backend being measured.
-  std::vector<std::string> backends;
-  int64_t iters = 40;
-  int64_t server_requests = 80;
-  int64_t producers = 4;
-  int64_t parity_iters = 200;
-  int64_t max_batch_size = 8;
-  int64_t max_wait_us = 500;
-  int64_t max_queue_depth = 64;
-  // [overload] — the open-loop past-saturation scenario.
-  double overload_factor = 2.0;   ///< offered load as a multiple of saturation
-  int64_t overload_windows = 4;   ///< trajectory resolution
-  int64_t window_ms = 250;
-  int64_t deadline_ms = 0;        ///< 0: auto (5x the measured batch latency)
-  int64_t low_priority_every = 4; ///< every Nth request is shed class kLow
-  double overload_rate_rps = 0.0; ///< token-bucket limit (0: off)
-  int64_t shed_latency_ms = 0;    ///< EWMA shed budget (0: off)
-  bool hot_swap = true;           ///< stage + swap a checkpoint mid-run
-  // [fleet] — the multi-model mixed-tenant scenario (DESIGN.md §14).
-  std::vector<std::string> fleet_models;  ///< "id:slo" tenants, in order
-  std::string fleet_hot_model;      ///< past-saturation tenant ("" : last)
-  double fleet_hot_factor = 2.0;    ///< hot tenant's offered load, x saturation
-  double fleet_healthy_factor = 0.25;  ///< every other tenant's offered load
-  int64_t fleet_windows = 4;        ///< trajectory resolution
-  int64_t fleet_window_ms = 250;
-  int64_t fleet_deadline_ms = 0;    ///< 0: auto (5x the measured batch latency)
-  std::string fleet_reload_model;   ///< mid-run hot-reload tenant ("" : first)
-  int64_t fleet_reload_poll_ms = 25;  ///< CheckpointReloader poll period
-  bool fleet_hot_swap = true;       ///< hot-reload one tenant mid-run
-  // [chaos] — "point@offset" scripts armed for the run (kErrno, one-shot).
-  std::vector<std::string> chaos_faults;
-};
-
-ServingConfig ParseServingConfig(const Spec& spec) {
-  ServingConfig c;
-  c.num_nodes = spec.GetInt("model", "num_nodes", c.num_nodes);
-  c.input_len = spec.GetInt("model", "input_len", c.input_len);
-  c.output_len = spec.GetInt("model", "output_len", c.output_len);
-  c.hidden_dim = spec.GetInt("model", "hidden_dim", c.hidden_dim);
-  c.embed_dim = spec.GetInt("model", "embed_dim", c.embed_dim);
-  c.num_layers = spec.GetInt("model", "num_layers", c.num_layers);
-  c.num_heads = spec.GetInt("model", "num_heads", c.num_heads);
-  c.model_seed = static_cast<uint64_t>(
-      spec.GetInt("model", "seed", static_cast<int64_t>(c.model_seed)));
-  c.num_steps = spec.GetInt("workload", "num_steps", c.num_steps);
-  c.workload_seed = static_cast<uint64_t>(spec.GetInt(
-      "workload", "seed", static_cast<int64_t>(c.workload_seed)));
-  c.ring_size = spec.GetInt("workload", "requests", c.ring_size);
-  c.scenarios = spec.GetList("serving", "scenarios");
-  c.threads = spec.GetIntList("serving", "threads");
-  c.batch_sizes = spec.GetIntList("serving", "batch_sizes");
-  c.backends = spec.GetList("serving", "backends");
-  if (c.threads.empty()) c.threads = {1, 2, 4};
-  if (c.batch_sizes.empty()) c.batch_sizes = {1, 4, 8};
-  if (c.backends.empty()) c.backends = {"auto"};
-  c.iters = spec.GetInt("serving", "iters", c.iters);
-  c.server_requests =
-      spec.GetInt("serving", "server_requests", c.server_requests);
-  c.producers = spec.GetInt("serving", "producers", c.producers);
-  c.parity_iters = spec.GetInt("serving", "parity_iters", c.parity_iters);
-  c.max_batch_size =
-      spec.GetInt("serving", "max_batch_size", c.max_batch_size);
-  c.max_wait_us = spec.GetInt("serving", "max_wait_us", c.max_wait_us);
-  c.max_queue_depth =
-      spec.GetInt("serving", "max_queue_depth", c.max_queue_depth);
-  c.overload_factor = spec.GetDouble("overload", "factor", c.overload_factor);
-  c.overload_windows =
-      spec.GetInt("overload", "windows", c.overload_windows);
-  c.window_ms = spec.GetInt("overload", "window_ms", c.window_ms);
-  c.deadline_ms = spec.GetInt("overload", "deadline_ms", c.deadline_ms);
-  c.low_priority_every =
-      spec.GetInt("overload", "low_priority_every", c.low_priority_every);
-  c.overload_rate_rps =
-      spec.GetDouble("overload", "rate_rps", c.overload_rate_rps);
-  c.shed_latency_ms =
-      spec.GetInt("overload", "shed_latency_ms", c.shed_latency_ms);
-  c.hot_swap = spec.GetInt("overload", "hot_swap", c.hot_swap ? 1 : 0) != 0;
-  c.fleet_models = spec.GetList("fleet", "models");
-  if (c.fleet_models.empty()) {
-    c.fleet_models = {"metr-la:gold", "pems-bay:silver", "city-syn:bronze"};
-  }
-  c.fleet_hot_model = spec.GetString("fleet", "hot_model", c.fleet_hot_model);
-  c.fleet_hot_factor =
-      spec.GetDouble("fleet", "hot_factor", c.fleet_hot_factor);
-  c.fleet_healthy_factor =
-      spec.GetDouble("fleet", "healthy_factor", c.fleet_healthy_factor);
-  c.fleet_windows = spec.GetInt("fleet", "windows", c.fleet_windows);
-  c.fleet_window_ms = spec.GetInt("fleet", "window_ms", c.fleet_window_ms);
-  c.fleet_deadline_ms =
-      spec.GetInt("fleet", "deadline_ms", c.fleet_deadline_ms);
-  c.fleet_reload_model =
-      spec.GetString("fleet", "reload_model", c.fleet_reload_model);
-  c.fleet_reload_poll_ms =
-      spec.GetInt("fleet", "reload_poll_ms", c.fleet_reload_poll_ms);
-  c.fleet_hot_swap =
-      spec.GetInt("fleet", "hot_swap", c.fleet_hot_swap ? 1 : 0) != 0;
-  c.chaos_faults = spec.GetList("chaos", "faults");
-  return c;
-}
-
-// One tenant of the fleet scenario: a model id, its resolved SLO class,
-// the seed its weights are drawn from (the hot-reload twin is seed + 1),
-// and its offered load as a multiple of the measured saturation rate.
-struct FleetTenant {
-  std::string id;
-  infer::SloClass slo;
-  uint64_t seed = 0;
-  double factor = 0.0;
-};
-
-/// Parses the [fleet] models list ("id" or "id:slo" entries; SLO names are
-/// the built-in gold/silver/bronze tiers) and marks the hot tenant. Runs at
-/// expansion time too, so --dry-run refuses a bad tenant list.
-bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
-                       std::string* error) {
-  out->clear();
-  for (size_t i = 0; i < c.fleet_models.size(); ++i) {
-    const std::string& entry = c.fleet_models[i];
-    FleetTenant tenant;
-    const size_t colon = entry.find(':');
-    tenant.id = colon == std::string::npos ? entry : entry.substr(0, colon);
-    if (tenant.id.empty()) {
-      *error = "[fleet] models entry '" + entry + "' has an empty model id";
-      return false;
-    }
-    if (colon != std::string::npos) {
-      const std::string slo_name = entry.substr(colon + 1);
-      if (!infer::ResolveSloClass(slo_name, &tenant.slo)) {
-        *error = "[fleet] models entry '" + entry +
-                 "' names an unknown SLO class '" + slo_name +
-                 "' (known: gold, silver, bronze)";
-        return false;
-      }
-    }
-    for (const FleetTenant& other : *out) {
-      if (other.id == tenant.id) {
-        *error = "[fleet] models lists '" + tenant.id + "' twice";
-        return false;
-      }
-    }
-    // Distinct weights per tenant, spaced so one tenant's hot-reload twin
-    // (seed + 1) can never collide with another tenant's seed.
-    tenant.seed = c.model_seed + 16 * (static_cast<uint64_t>(i) + 1);
-    tenant.factor = c.fleet_healthy_factor;
-    out->push_back(tenant);
-  }
-  if (out->empty()) {
-    *error = "[fleet] models lists no models";
-    return false;
-  }
-  const std::string hot =
-      c.fleet_hot_model.empty() ? out->back().id : c.fleet_hot_model;
-  bool hot_found = false;
-  for (FleetTenant& tenant : *out) {
-    if (tenant.id == hot) {
-      tenant.factor = c.fleet_hot_factor;
-      hot_found = true;
-    }
-  }
-  if (!hot_found) {
-    *error = "[fleet] hot_model '" + hot + "' is not in the models list";
-    return false;
-  }
-  if (c.fleet_hot_swap) {
-    const std::string reload = c.fleet_reload_model.empty()
-                                   ? out->front().id
-                                   : c.fleet_reload_model;
-    bool reload_found = false;
-    for (const FleetTenant& tenant : *out) {
-      reload_found = reload_found || tenant.id == reload;
-    }
-    if (!reload_found) {
-      *error = "[fleet] reload_model '" + reload +
-               "' is not in the models list";
-      return false;
-    }
-  }
-  return true;
 }
 
 struct DatasetConfig {
@@ -317,60 +94,6 @@ bool ExpandTraining(const Spec& spec, const TrainingConfig& config,
   return true;
 }
 
-// Resolves [serving] backends into concrete, deduplicated registry names
-// ("auto avx2" on an avx2 host collapses to one entry, so records are never
-// duplicated by spelling the same backend two ways).
-bool ResolveServingBackends(const ServingConfig& config,
-                            std::vector<std::string>* resolved,
-                            std::string* error) {
-  for (const std::string& name : config.backends) {
-    std::string backend;
-    if (!ResolveBackend(name, &backend, error)) return false;
-    if (std::find(resolved->begin(), resolved->end(), backend) ==
-        resolved->end()) {
-      resolved->push_back(backend);
-    }
-  }
-  return true;
-}
-
-bool ExpandServing(const ServingConfig& config,
-                   std::vector<std::string>* cells, std::string* error) {
-  if (config.scenarios.empty()) {
-    *error = "[serving] scenarios lists no scenarios";
-    return false;
-  }
-  std::vector<std::string> backends;
-  if (!ResolveServingBackends(config, &backends, error)) return false;
-  // A single backend keeps the historical cell text; only a real sweep
-  // prefixes cells with the backend axis.
-  for (const std::string& backend : backends) {
-    const std::string prefix =
-        backends.size() > 1 ? "backend=" + backend + " " : "";
-    for (const std::string& scenario : config.scenarios) {
-      if (!ResolveServingScenario(scenario, error)) return false;
-      for (const int64_t threads : config.threads) {
-        if (scenario == "session-eager" || scenario == "session-plan") {
-          for (const int64_t batch : config.batch_sizes) {
-            cells->push_back(prefix + "scenario=" + scenario +
-                             " threads=" + std::to_string(threads) +
-                             " batch_size=" + std::to_string(batch));
-          }
-        } else if (scenario == "fleet") {
-          std::vector<FleetTenant> tenants;
-          if (!ParseFleetTenants(config, &tenants, error)) return false;
-          cells->push_back(prefix + "scenario=fleet threads=" +
-                           std::to_string(threads) +
-                           " models=" + std::to_string(tenants.size()));
-        } else {
-          cells->push_back(prefix + "scenario=" + scenario +
-                           " threads=" + std::to_string(threads));
-        }
-      }
-    }
-  }
-  return true;
-}
 
 bool ExpandDataset(const Spec& spec, const DatasetConfig& config,
                    std::vector<std::string>* cells, std::string* error) {
@@ -507,1176 +230,6 @@ bool RunTraining(const Spec& spec, const TrainingConfig& config,
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// kind = serving (the bench_inference protocol behind scenario names)
-
-struct ServingWorkload {
-  data::SyntheticTraffic traffic;
-  data::StandardScaler scaler;
-  std::vector<infer::ForecastRequest> ring;
-};
-
-ServingWorkload BuildServingWorkload(const ServingConfig& config) {
-  ServingWorkload w;
-  data::SyntheticTrafficOptions options;
-  options.network.num_nodes = config.num_nodes;
-  options.network.neighbors = 2;
-  options.num_steps = config.num_steps;
-  options.seed = config.workload_seed;
-  w.traffic = data::GenerateSyntheticTraffic(options);
-  w.scaler.Fit(w.traffic.dataset.values, config.num_steps * 2 / 3, true);
-  const std::vector<float>& values = w.traffic.dataset.values.Data();
-  for (int64_t start = 0; start < config.ring_size; ++start) {
-    infer::ForecastRequest request;
-    request.window.assign(
-        values.data() + start * config.num_nodes,
-        values.data() + (start + config.input_len) * config.num_nodes);
-    request.time_of_day = w.traffic.dataset.TimeOfDay(start);
-    request.day_of_week = w.traffic.dataset.DayOfWeek(start);
-    w.ring.push_back(std::move(request));
-  }
-  return w;
-}
-
-/// A fresh served model with weights drawn from `seed` (the hot-reload
-/// factory rebuilds this architecture for every staged checkpoint).
-std::unique_ptr<train::ForecastingModel> BuildServingModel(
-    const ServingWorkload& w, const ServingConfig& config, uint64_t seed) {
-  core::D2StgnnConfig model_config;
-  model_config.num_nodes = config.num_nodes;
-  model_config.input_len = config.input_len;
-  model_config.output_len = config.output_len;
-  model_config.hidden_dim = config.hidden_dim;
-  model_config.embed_dim = config.embed_dim;
-  model_config.num_layers = config.num_layers;
-  model_config.num_heads = config.num_heads;
-  model_config.steps_per_day = w.traffic.dataset.steps_per_day;
-  Rng rng(seed);
-  return std::make_unique<core::D2Stgnn>(
-      model_config, w.traffic.dataset.network.adjacency, rng);
-}
-
-infer::SessionOptions ServingSessionOptions(const ServingWorkload& w,
-                                            const ServingConfig& config,
-                                            bool use_plans) {
-  infer::SessionOptions session_options;
-  session_options.num_nodes = config.num_nodes;
-  session_options.input_len = config.input_len;
-  session_options.steps_per_day = w.traffic.dataset.steps_per_day;
-  session_options.use_plans = use_plans;
-  return session_options;
-}
-
-std::unique_ptr<infer::InferenceSession> BuildServingSession(
-    const ServingWorkload& w, const ServingConfig& config, bool use_plans) {
-  return infer::InferenceSession::Wrap(
-      BuildServingModel(w, config, config.model_seed), w.scaler,
-      ServingSessionOptions(w, config, use_plans));
-}
-
-json::Value ServingRecord(const std::string& scenario,
-                          const std::string& mode, int64_t threads,
-                          int64_t batch_size, int64_t requests,
-                          const metrics::LatencyStats& latency_ms,
-                          double throughput_rps) {
-  json::Value record = json::Value::Object();
-  record.Set("scenario", json::Value::Str(scenario));
-  record.Set("mode", json::Value::Str(mode));
-  // The backend the sweep currently runs under (RunServing activates each
-  // swept backend before building sessions), so rows of a multi-backend
-  // sweep stay attributable.
-  record.Set("backend", json::Value::Str(kernels::ActiveBackend().name));
-  record.Set("threads", json::Value::Int(threads));
-  record.Set("batch_size", json::Value::Int(batch_size));
-  record.Set("requests", json::Value::Int(requests));
-  record.Set("p50_ms", json::Value::Number(latency_ms.p50));
-  record.Set("p95_ms", json::Value::Number(latency_ms.p95));
-  record.Set("p99_ms", json::Value::Number(latency_ms.p99));
-  record.Set("mean_ms", json::Value::Number(latency_ms.mean));
-  record.Set("max_ms", json::Value::Number(latency_ms.max));
-  record.Set("throughput_rps", json::Value::Number(throughput_rps));
-  return record;
-}
-
-/// Direct PredictRequests calls at a fixed batch size.
-bool SweepSession(infer::InferenceSession* session, const ServingConfig& c,
-                  const ServingWorkload& w, const std::string& scenario,
-                  int64_t threads, int64_t batch_size, MetricsSink* sink,
-                  std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-  std::vector<infer::ForecastRequest> batch;
-  for (int64_t i = 0; i < batch_size; ++i) {
-    batch.push_back(w.ring[static_cast<size_t>(i) % w.ring.size()]);
-  }
-  session->Warmup(batch_size, /*runs=*/2);
-
-  using clock = std::chrono::steady_clock;
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(static_cast<size_t>(c.iters));
-  const auto sweep_start = clock::now();
-  for (int64_t i = 0; i < c.iters; ++i) {
-    const auto start = clock::now();
-    for (const infer::Forecast& f : session->PredictRequests(batch)) {
-      if (!f.ok) {
-        *error = "serving forward failed: " + f.error;
-        return false;
-      }
-    }
-    latencies_ms.push_back(
-        std::chrono::duration<double, std::milli>(clock::now() - start)
-            .count());
-  }
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - sweep_start).count();
-  const int64_t requests = c.iters * batch_size;
-  sink->AddRecord(ServingRecord(
-      scenario, scenario, threads, batch_size, requests,
-      metrics::SummarizeLatencies(latencies_ms),
-      elapsed > 0.0 ? static_cast<double>(requests) / elapsed : 0.0));
-  return true;
-}
-
-/// Closed-loop producers against the BatchingServer.
-bool SweepServer(infer::InferenceSession* session, const ServingConfig& c,
-                 const ServingWorkload& w, int64_t threads, MetricsSink* sink,
-                 std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-  infer::BatchingOptions options;
-  options.max_batch_size = c.max_batch_size;
-  options.max_wait_us = c.max_wait_us;
-  infer::BatchingServer server(session, options);
-
-  using clock = std::chrono::steady_clock;
-  const int producers = static_cast<int>(c.producers);
-  std::vector<std::vector<double>> latencies(static_cast<size_t>(producers));
-  std::vector<std::string> failures(static_cast<size_t>(producers));
-  const auto start = clock::now();
-  std::vector<std::thread> workers;
-  for (int p = 0; p < producers; ++p) {
-    workers.emplace_back([&, p] {
-      std::vector<double>& mine = latencies[static_cast<size_t>(p)];
-      mine.reserve(static_cast<size_t>(c.server_requests));
-      for (int64_t i = 0; i < c.server_requests; ++i) {
-        const infer::ForecastRequest& request =
-            w.ring[static_cast<size_t>(p * c.server_requests + i) %
-                   w.ring.size()];
-        const auto submit = clock::now();
-        infer::Forecast f = server.Submit(request).get();
-        if (!f.ok) {
-          failures[static_cast<size_t>(p)] = f.error;
-          return;
-        }
-        mine.push_back(
-            std::chrono::duration<double, std::milli>(clock::now() - submit)
-                .count());
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(clock::now() - start).count();
-  server.Shutdown();
-  for (const std::string& failure : failures) {
-    if (!failure.empty()) {
-      *error = "server request failed: " + failure;
-      return false;
-    }
-  }
-
-  std::vector<double> all;
-  for (const std::vector<double>& chunk : latencies) {
-    all.insert(all.end(), chunk.begin(), chunk.end());
-  }
-  sink->AddRecord(ServingRecord(
-      "server", "server", threads, c.max_batch_size,
-      static_cast<int64_t>(all.size()), metrics::SummarizeLatencies(all),
-      elapsed > 0.0 ? static_cast<double>(all.size()) / elapsed : 0.0));
-  return true;
-}
-
-/// Plan replay vs eager dispatch on single requests, with the bitwise
-/// parity check of DESIGN.md §10.
-bool SweepParity(infer::InferenceSession* plan_session,
-                 infer::InferenceSession* eager_session,
-                 const ServingConfig& c, const ServingWorkload& w,
-                 int64_t threads, MetricsSink* sink, double* eager_p50,
-                 double* plan_p50, std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-  plan_session->Warmup(/*batch_size=*/1, /*runs=*/2);
-
-  for (const infer::ForecastRequest& request : w.ring) {
-    const infer::Forecast plan = plan_session->PredictOne(request);
-    const infer::Forecast eager = eager_session->PredictOne(request);
-    if (!plan.ok || !eager.ok || plan.values != eager.values) {
-      *error = "plan and eager forecasts diverge at " +
-               std::to_string(threads) + " threads";
-      return false;
-    }
-  }
-  if (plan_session->session_stats().plan_replays == 0) {
-    *error = "plan session never replayed a plan";
-    return false;
-  }
-
-  const auto time_one = [&](infer::InferenceSession* session,
-                            const std::string& mode,
-                            double* p50) -> bool {
-    using clock = std::chrono::steady_clock;
-    std::vector<double> latencies_ms;
-    latencies_ms.reserve(static_cast<size_t>(c.parity_iters));
-    const auto sweep_start = clock::now();
-    for (int64_t i = 0; i < c.parity_iters; ++i) {
-      const auto start = clock::now();
-      const infer::Forecast f = session->PredictOne(
-          w.ring[static_cast<size_t>(i) % w.ring.size()]);
-      if (!f.ok) {
-        *error = mode + " forward failed: " + f.error;
-        return false;
-      }
-      latencies_ms.push_back(
-          std::chrono::duration<double, std::milli>(clock::now() - start)
-              .count());
-    }
-    const double elapsed =
-        std::chrono::duration<double>(clock::now() - sweep_start).count();
-    const metrics::LatencyStats stats =
-        metrics::SummarizeLatencies(latencies_ms);
-    *p50 = stats.p50;
-    sink->AddRecord(ServingRecord(
-        "parity", mode, threads, 1, c.parity_iters, stats,
-        elapsed > 0.0 ? static_cast<double>(c.parity_iters) / elapsed : 0.0));
-    return true;
-  };
-  return time_one(eager_session, "eager", eager_p50) &&
-         time_one(plan_session, "plan", plan_p50);
-}
-
-/// Arms the [chaos] "point@offset" scripts (kErrno, one-shot) for a
-/// serving run; returns how many were armed.
-int64_t ArmChaosFaults(const std::vector<std::string>& entries) {
-  int64_t armed = 0;
-  for (const std::string& entry : entries) {
-    fault::FaultScript script;
-    script.kind = fault::FaultKind::kErrno;
-    std::string point = entry;
-    const size_t at = entry.find('@');
-    if (at != std::string::npos) {
-      point = entry.substr(0, at);
-      script.trigger_offset = std::strtoll(entry.c_str() + at + 1, nullptr, 10);
-    }
-    fault::ArmFaultPoint(point, script);
-    ++armed;
-  }
-  return armed;
-}
-
-/// Open-loop producers past saturation: the closed-loop overload scenario
-/// of DESIGN.md §13. Offered load is a multiple of the *measured* serving
-/// rate (self-calibrating, so the same spec saturates under a sanitizer
-/// too), every request carries a deadline, every Nth is low priority, the
-/// scripted chaos faults fire mid-run, and a checkpoint hot-swap lands
-/// while the server is shedding. Emits one record per time window — the
-/// shed-rate / deadline-miss / p99 trajectory — plus run-level summaries.
-bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
-                   int64_t threads, MetricsSink* sink, std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-  using clock = std::chrono::steady_clock;
-
-  // The server takes shared ownership: a mid-run SwapSession retires this
-  // session once the last in-flight batch lets go of it.
-  std::shared_ptr<infer::InferenceSession> session(
-      BuildServingSession(w, c, /*use_plans=*/true).release());
-  if (session == nullptr) {
-    *error = "failed to build the overload inference session";
-    return false;
-  }
-
-  // Calibrate: measure the saturated serving rate at the max batch size.
-  session->Warmup(c.max_batch_size, /*runs=*/2);
-  std::vector<infer::ForecastRequest> calibration_batch;
-  for (int64_t i = 0; i < c.max_batch_size; ++i) {
-    calibration_batch.push_back(w.ring[static_cast<size_t>(i) % w.ring.size()]);
-  }
-  constexpr int64_t kCalibrationIters = 5;
-  const auto calibration_start = clock::now();
-  for (int64_t i = 0; i < kCalibrationIters; ++i) {
-    for (const infer::Forecast& f : session->PredictRequests(calibration_batch)) {
-      if (!f.ok) {
-        *error = "overload calibration forward failed: " + f.error;
-        return false;
-      }
-    }
-  }
-  const double calibration_s =
-      std::chrono::duration<double>(clock::now() - calibration_start).count();
-  const double saturation_rps =
-      static_cast<double>(kCalibrationIters * c.max_batch_size) /
-      std::max(calibration_s, 1e-9);
-  const double offered_rps =
-      std::max(1.0, saturation_rps * c.overload_factor);
-  const double batch_us = calibration_s * 1e6 / kCalibrationIters;
-  const int64_t deadline_us =
-      c.deadline_ms > 0 ? c.deadline_ms * 1000
-                        : std::max<int64_t>(5000,
-                                            static_cast<int64_t>(5 * batch_us));
-
-  const int64_t faults_armed = ArmChaosFaults(c.chaos_faults);
-
-  infer::BatchingOptions options;
-  options.max_batch_size = c.max_batch_size;
-  options.max_wait_us = c.max_wait_us;
-  options.max_queue_depth = c.max_queue_depth;
-  options.admission.rate_rps = c.overload_rate_rps;
-  options.admission.shed_latency_us = c.shed_latency_ms * 1000;
-  infer::BatchingServer server(session, options);
-
-  // Hot-reload plumbing: twin weights (model_seed + 1) are checkpointed
-  // into a private watch directory one window into the run. The bitwise
-  // reference comes from an identically-seeded twin session.
-  std::unique_ptr<infer::CheckpointReloader> reloader;
-  std::unique_ptr<train::ForecastingModel> swap_model;
-  std::vector<float> swap_reference;
-  std::filesystem::path watch_dir;
-  if (c.hot_swap) {
-    const uint64_t swap_seed = c.model_seed + 1;
-    auto reference_session = infer::InferenceSession::Wrap(
-        BuildServingModel(w, c, swap_seed), w.scaler,
-        ServingSessionOptions(w, c, /*use_plans=*/true));
-    if (reference_session == nullptr) {
-      *error = "failed to build the hot-swap reference session";
-      return false;
-    }
-    const infer::Forecast reference = reference_session->PredictOne(w.ring[0]);
-    if (!reference.ok) {
-      *error = "hot-swap reference forward failed: " + reference.error;
-      return false;
-    }
-    swap_reference = reference.values;
-    swap_model = BuildServingModel(w, c, swap_seed);  // saved mid-run
-
-    watch_dir = std::filesystem::temp_directory_path() /
-                ("d2stgnn_overload_" + std::to_string(::getpid()) + "_t" +
-                 std::to_string(threads));
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-    std::filesystem::create_directories(watch_dir, ec);
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir.string();
-    reload_options.poll_interval_ms = std::max<int64_t>(10, c.window_ms / 10);
-    reloader = std::make_unique<infer::CheckpointReloader>(
-        &server, [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
-        w.scaler, ServingSessionOptions(w, c, /*use_plans=*/true),
-        reload_options);
-    reloader->Start();
-  }
-
-  // Open-loop producers: each submits on its own fixed cadence regardless
-  // of completions (that is what makes shedding observable), a paired
-  // harvester resolves the futures in FIFO order and timestamps them.
-  struct Outstanding {
-    std::future<infer::Forecast> future;
-    clock::time_point submitted;
-    int64_t window = 0;
-  };
-  struct Sample {
-    int64_t window = 0;
-    bool ok = false;
-    infer::RejectReason reason = infer::RejectReason::kNone;
-    double latency_ms = 0.0;
-  };
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Outstanding> pending;
-    bool done = false;
-    std::vector<Sample> samples;
-  };
-
-  const int64_t producers = std::max<int64_t>(1, c.producers);
-  const double period_s = static_cast<double>(producers) / offered_rps;
-  const auto run_start = clock::now();
-  const auto run_end =
-      run_start + std::chrono::milliseconds(c.overload_windows * c.window_ms);
-  std::vector<std::unique_ptr<Channel>> channels;
-  for (int64_t p = 0; p < producers; ++p) {
-    channels.push_back(std::make_unique<Channel>());
-  }
-  std::atomic<int64_t> sequence{0};
-
-  std::vector<std::thread> workers;
-  for (int64_t p = 0; p < producers; ++p) {
-    Channel* channel = channels[static_cast<size_t>(p)].get();
-    workers.emplace_back([&, p, channel] {
-      auto next = run_start + std::chrono::duration_cast<clock::duration>(
-                                  std::chrono::duration<double>(
-                                      period_s * static_cast<double>(p) /
-                                      static_cast<double>(producers)));
-      while (next < run_end) {
-        std::this_thread::sleep_until(next);
-        const auto now = clock::now();
-        if (now >= run_end) break;
-        const int64_t seq = sequence.fetch_add(1);
-        infer::ForecastRequest request =
-            w.ring[static_cast<size_t>(seq) % w.ring.size()];
-        request.deadline_us = deadline_us;
-        if (c.low_priority_every > 0 &&
-            seq % c.low_priority_every == c.low_priority_every - 1) {
-          request.priority = infer::RequestPriority::kLow;
-        }
-        Outstanding out;
-        out.submitted = now;
-        out.window = std::min<int64_t>(
-            c.overload_windows - 1,
-            std::chrono::duration_cast<std::chrono::milliseconds>(now -
-                                                                  run_start)
-                    .count() /
-                c.window_ms);
-        out.future = server.Submit(std::move(request));
-        {
-          std::lock_guard<std::mutex> lock(channel->mu);
-          channel->pending.push_back(std::move(out));
-        }
-        channel->cv.notify_one();
-        next += std::chrono::duration_cast<clock::duration>(
-            std::chrono::duration<double>(period_s));
-      }
-      {
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->done = true;
-      }
-      channel->cv.notify_one();
-    });
-    workers.emplace_back([channel] {
-      for (;;) {
-        Outstanding out;
-        {
-          std::unique_lock<std::mutex> lock(channel->mu);
-          channel->cv.wait(lock, [channel] {
-            return channel->done || !channel->pending.empty();
-          });
-          if (channel->pending.empty()) return;  // done and drained
-          out = std::move(channel->pending.front());
-          channel->pending.pop_front();
-        }
-        const infer::Forecast forecast = out.future.get();
-        Sample sample;
-        sample.window = out.window;
-        sample.ok = forecast.ok;
-        sample.reason = forecast.reason;
-        sample.latency_ms = std::chrono::duration<double, std::milli>(
-                                clock::now() - out.submitted)
-                                .count();
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->samples.push_back(sample);
-      }
-    });
-  }
-
-  // Main thread: drop the hot-swap checkpoint one window in, and track the
-  // worst degradation tier while the run progresses.
-  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
-  bool checkpoint_dropped = false;
-  while (clock::now() < run_end) {
-    if (!checkpoint_dropped && swap_model != nullptr &&
-        clock::now() >= run_start + std::chrono::milliseconds(c.window_ms)) {
-      train::SaveCheckpoint(
-          *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-      checkpoint_dropped = true;
-    }
-    max_tier = std::max(max_tier, server.stats().tier);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (!checkpoint_dropped && swap_model != nullptr) {
-    train::SaveCheckpoint(
-        *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-  }
-  for (std::thread& t : workers) t.join();
-  max_tier = std::max(max_tier, server.stats().tier);
-
-  // The swap must land (the reloader retries through injected faults) and
-  // the post-swap forecast must be bitwise the twin reference.
-  int64_t hot_swaps = 0;
-  int64_t post_swap_bitwise = -1;
-  if (reloader != nullptr) {
-    const auto swap_deadline = clock::now() + std::chrono::seconds(60);
-    while (reloader->stats().swaps == 0 && clock::now() < swap_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    hot_swaps = reloader->stats().swaps;
-    if (hot_swaps > 0) {
-      infer::RetryPolicy policy;
-      policy.max_attempts = 16;
-      policy.initial_backoff_us = 5000;
-      policy.jitter_seed = c.workload_seed;
-      const infer::RetryResult probe =
-          infer::SubmitWithRetry(&server, w.ring[0], policy);
-      post_swap_bitwise =
-          probe.forecast.ok && probe.forecast.values == swap_reference ? 1 : 0;
-    } else {
-      post_swap_bitwise = 0;
-    }
-    reloader->Stop();
-  }
-  server.Shutdown();
-  const infer::BatchingServerStats server_stats = server.stats();
-  const int64_t faults_fired = fault::FaultFireCount();
-  fault::DisarmAllFaultPoints();
-  if (reloader != nullptr) {
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-  }
-
-  // Per-window trajectory records.
-  struct WindowAgg {
-    int64_t offered = 0, completed = 0, shed = 0, expired = 0;
-    std::vector<double> latencies_ms;
-  };
-  std::vector<WindowAgg> window_aggs(static_cast<size_t>(c.overload_windows));
-  int64_t total_offered = 0, total_completed = 0, total_shed = 0,
-          total_expired = 0;
-  for (const std::unique_ptr<Channel>& channel : channels) {
-    for (const Sample& sample : channel->samples) {
-      WindowAgg& agg = window_aggs[static_cast<size_t>(sample.window)];
-      ++agg.offered;
-      if (sample.ok) {
-        ++agg.completed;
-        agg.latencies_ms.push_back(sample.latency_ms);
-      } else if (sample.reason == infer::RejectReason::kDeadlineExceeded) {
-        ++agg.expired;
-      } else {
-        ++agg.shed;
-      }
-    }
-  }
-  const double window_s = static_cast<double>(c.window_ms) / 1000.0;
-  double max_p99_ms = 0.0;
-  for (int64_t i = 0; i < c.overload_windows; ++i) {
-    const WindowAgg& agg = window_aggs[static_cast<size_t>(i)];
-    total_offered += agg.offered;
-    total_completed += agg.completed;
-    total_shed += agg.shed;
-    total_expired += agg.expired;
-    const metrics::LatencyStats latency =
-        metrics::SummarizeLatencies(agg.latencies_ms);
-    max_p99_ms = std::max(max_p99_ms, latency.p99);
-    const double denom = static_cast<double>(std::max<int64_t>(agg.offered, 1));
-    json::Value record = ServingRecord(
-        "overload", "overload", threads, c.max_batch_size, agg.offered,
-        latency,
-        static_cast<double>(agg.completed) / std::max(window_s, 1e-9));
-    record.Set("window", json::Value::Int(i));
-    record.Set("completed", json::Value::Int(agg.completed));
-    record.Set("shed", json::Value::Int(agg.shed));
-    record.Set("expired", json::Value::Int(agg.expired));
-    record.Set("shed_rate",
-               json::Value::Number(static_cast<double>(agg.shed) / denom));
-    record.Set("deadline_miss_rate",
-               json::Value::Number(static_cast<double>(agg.expired) / denom));
-    sink->AddRecord(std::move(record));
-  }
-
-  const double total_denom =
-      static_cast<double>(std::max<int64_t>(total_offered, 1));
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation_rps));
-  sink->SetSummary("offered_rps", json::Value::Number(offered_rps));
-  sink->SetSummary("overload_shed_rate",
-                   json::Value::Number(static_cast<double>(total_shed) /
-                                       total_denom));
-  sink->SetSummary("overload_deadline_miss_rate",
-                   json::Value::Number(static_cast<double>(total_expired) /
-                                       total_denom));
-  sink->SetSummary("overload_completed", json::Value::Int(total_completed));
-  sink->SetSummary("overload_max_p99_ms", json::Value::Number(max_p99_ms));
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
-  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(server_stats.degrade_transitions));
-  sink->SetSummary("session_swaps",
-                   json::Value::Int(server_stats.session_swaps));
-
-  if (total_completed == 0) {
-    *error = "overload run completed zero requests";
-    return false;
-  }
-  if (c.hot_swap && hot_swaps == 0) {
-    *error = "overload run never hot-swapped the staged checkpoint";
-    return false;
-  }
-  if (c.hot_swap && post_swap_bitwise != 1) {
-    *error = "post-swap forecast is not bitwise equal to the staged weights";
-    return false;
-  }
-  return true;
-}
-
-/// The multi-city fleet scenario (DESIGN.md §14): one FleetServer hosts
-/// every configured tenant, each with its own weights, plan cache, and SLO
-/// class. Open-loop producers offer a skewed mix — every healthy tenant
-/// well under saturation, one low-priority tenant past 2x — while a
-/// CheckpointReloader hot-reloads one model mid-run. Emits one record per
-/// (model, window) — the per-tenant shed-rate / p99 / throughput
-/// trajectory — plus the isolation summaries the baseline gates: the
-/// high-priority tenants must ride out the hot tenant's overload, every
-/// model must stay bitwise identical to a standalone single-model session,
-/// and the reload must not perturb any other lane.
-bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
-                int64_t threads, MetricsSink* sink, std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-  using clock = std::chrono::steady_clock;
-
-  std::vector<FleetTenant> tenants;
-  if (!ParseFleetTenants(c, &tenants, error)) return false;
-  const std::string reload_id =
-      c.fleet_reload_model.empty() ? tenants.front().id : c.fleet_reload_model;
-
-  // Register every tenant, and record the bitwise reference each lane must
-  // reproduce: the same weights served by a standalone single-model
-  // session. The fleet may arbitrate *when* a model runs, never *what* it
-  // computes.
-  infer::ModelFleet fleet;
-  std::map<std::string, std::vector<float>> reference;
-  for (const FleetTenant& tenant : tenants) {
-    std::shared_ptr<infer::InferenceSession> session(
-        infer::InferenceSession::Wrap(BuildServingModel(w, c, tenant.seed),
-                                      w.scaler,
-                                      ServingSessionOptions(w, c, true))
-            .release());
-    auto standalone = infer::InferenceSession::Wrap(
-        BuildServingModel(w, c, tenant.seed), w.scaler,
-        ServingSessionOptions(w, c, true));
-    if (session == nullptr || standalone == nullptr) {
-      *error = "failed to build fleet sessions for '" + tenant.id + "'";
-      return false;
-    }
-    const infer::Forecast ref = standalone->PredictOne(w.ring[0]);
-    if (!ref.ok) {
-      *error = "standalone reference forward failed for '" + tenant.id +
-               "': " + ref.error;
-      return false;
-    }
-    reference[tenant.id] = ref.values;
-
-    infer::FleetModelOptions model_options;
-    model_options.model_id = tenant.id;
-    model_options.slo = tenant.slo;
-    model_options.max_batch_size = c.max_batch_size;
-    model_options.max_wait_us = c.max_wait_us;
-    if (!fleet.AddModel(std::move(session), model_options, error)) {
-      return false;
-    }
-  }
-
-  // Calibrate the saturated serving rate once — every tenant shares the
-  // architecture, so one measurement sizes all the offered loads.
-  std::shared_ptr<infer::InferenceSession> calibration_session =
-      fleet.session(tenants.front().id);
-  calibration_session->Warmup(c.max_batch_size, /*runs=*/2);
-  std::vector<infer::ForecastRequest> calibration_batch;
-  for (int64_t i = 0; i < c.max_batch_size; ++i) {
-    calibration_batch.push_back(w.ring[static_cast<size_t>(i) % w.ring.size()]);
-  }
-  constexpr int64_t kCalibrationIters = 5;
-  const auto calibration_start = clock::now();
-  for (int64_t i = 0; i < kCalibrationIters; ++i) {
-    for (const infer::Forecast& f :
-         calibration_session->PredictRequests(calibration_batch)) {
-      if (!f.ok) {
-        *error = "fleet calibration forward failed: " + f.error;
-        return false;
-      }
-    }
-  }
-  const double calibration_s =
-      std::chrono::duration<double>(clock::now() - calibration_start).count();
-  const double saturation_rps =
-      static_cast<double>(kCalibrationIters * c.max_batch_size) /
-      std::max(calibration_s, 1e-9);
-  const double batch_us = calibration_s * 1e6 / kCalibrationIters;
-  const int64_t deadline_us =
-      c.fleet_deadline_ms > 0
-          ? c.fleet_deadline_ms * 1000
-          : std::max<int64_t>(5000, static_cast<int64_t>(5 * batch_us));
-
-  const int64_t faults_armed = ArmChaosFaults(c.chaos_faults);
-
-  infer::FleetOptions fleet_options;
-  fleet_options.max_queue_depth = c.max_queue_depth;
-  infer::FleetServer server(&fleet, fleet_options);
-
-  // Hot-reload plumbing for the one reloaded tenant: twin weights
-  // (seed + 1) land in a private watch directory one window into the run;
-  // the bitwise reference comes from an identically-seeded twin session.
-  std::unique_ptr<train::ForecastingModel> swap_model;
-  std::vector<float> swap_reference;
-  std::filesystem::path watch_dir;
-  uint64_t reload_seed = 0;
-  if (c.fleet_hot_swap) {
-    for (const FleetTenant& tenant : tenants) {
-      if (tenant.id == reload_id) reload_seed = tenant.seed;
-    }
-    auto twin_session = infer::InferenceSession::Wrap(
-        BuildServingModel(w, c, reload_seed + 1), w.scaler,
-        ServingSessionOptions(w, c, true));
-    if (twin_session == nullptr) {
-      *error = "failed to build the fleet hot-reload twin session";
-      return false;
-    }
-    const infer::Forecast twin = twin_session->PredictOne(w.ring[0]);
-    if (!twin.ok) {
-      *error = "fleet hot-reload twin forward failed: " + twin.error;
-      return false;
-    }
-    swap_reference = twin.values;
-    swap_model = BuildServingModel(w, c, reload_seed + 1);  // saved mid-run
-
-    watch_dir = std::filesystem::temp_directory_path() /
-                ("d2stgnn_fleet_" + std::to_string(::getpid()) + "_t" +
-                 std::to_string(threads));
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-    std::filesystem::create_directories(watch_dir, ec);
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = watch_dir.string();
-    reload_options.poll_interval_ms = std::max<int64_t>(5, c.fleet_reload_poll_ms);
-    if (!fleet.AttachReloader(
-            reload_id, server.host(reload_id),
-            [&w, &c, reload_seed] { return BuildServingModel(w, c, reload_seed); },
-            w.scaler, ServingSessionOptions(w, c, true), reload_options,
-            error)) {
-      return false;
-    }
-    fleet.StartReloaders();
-  }
-
-  // One open-loop producer + harvester pair per tenant, each on its own
-  // cadence: offered = saturation * tenant.factor, regardless of
-  // completions (that is what makes per-tenant shedding observable).
-  struct Outstanding {
-    std::future<infer::Forecast> future;
-    clock::time_point submitted;
-    int64_t window = 0;
-  };
-  struct Sample {
-    int64_t window = 0;
-    bool ok = false;
-    infer::RejectReason reason = infer::RejectReason::kNone;
-    double latency_ms = 0.0;
-  };
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Outstanding> pending;
-    bool done = false;
-    std::vector<Sample> samples;
-  };
-
-  const auto run_start = clock::now();
-  const auto run_end =
-      run_start +
-      std::chrono::milliseconds(c.fleet_windows * c.fleet_window_ms);
-  std::vector<std::unique_ptr<Channel>> channels;
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    channels.push_back(std::make_unique<Channel>());
-  }
-
-  std::vector<std::thread> workers;
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    const FleetTenant& tenant = tenants[t];
-    Channel* channel = channels[t].get();
-    const double rate_rps = std::max(1.0, saturation_rps * tenant.factor);
-    const double period_s = 1.0 / rate_rps;
-    workers.emplace_back([&, t, channel, period_s] {
-      int64_t seq = 0;
-      auto next = run_start + std::chrono::duration_cast<clock::duration>(
-                                  std::chrono::duration<double>(
-                                      period_s * static_cast<double>(t) /
-                                      static_cast<double>(tenants.size())));
-      while (next < run_end) {
-        std::this_thread::sleep_until(next);
-        const auto now = clock::now();
-        if (now >= run_end) break;
-        infer::ForecastRequest request =
-            w.ring[static_cast<size_t>(seq++) % w.ring.size()];
-        request.deadline_us = deadline_us;
-        Outstanding out;
-        out.submitted = now;
-        out.window = std::min<int64_t>(
-            c.fleet_windows - 1,
-            std::chrono::duration_cast<std::chrono::milliseconds>(now -
-                                                                  run_start)
-                    .count() /
-                c.fleet_window_ms);
-        out.future = server.Submit(tenants[t].id, std::move(request));
-        {
-          std::lock_guard<std::mutex> lock(channel->mu);
-          channel->pending.push_back(std::move(out));
-        }
-        channel->cv.notify_one();
-        next += std::chrono::duration_cast<clock::duration>(
-            std::chrono::duration<double>(period_s));
-      }
-      {
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->done = true;
-      }
-      channel->cv.notify_one();
-    });
-    workers.emplace_back([channel] {
-      for (;;) {
-        Outstanding out;
-        {
-          std::unique_lock<std::mutex> lock(channel->mu);
-          channel->cv.wait(lock, [channel] {
-            return channel->done || !channel->pending.empty();
-          });
-          if (channel->pending.empty()) return;  // done and drained
-          out = std::move(channel->pending.front());
-          channel->pending.pop_front();
-        }
-        const infer::Forecast forecast = out.future.get();
-        Sample sample;
-        sample.window = out.window;
-        sample.ok = forecast.ok;
-        sample.reason = forecast.reason;
-        sample.latency_ms = std::chrono::duration<double, std::milli>(
-                                clock::now() - out.submitted)
-                                .count();
-        std::lock_guard<std::mutex> lock(channel->mu);
-        channel->samples.push_back(sample);
-      }
-    });
-  }
-
-  // Main thread: drop the reload tenant's twin checkpoint one window in,
-  // and track the worst degradation tier while the run progresses.
-  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
-  bool checkpoint_dropped = false;
-  while (clock::now() < run_end) {
-    if (!checkpoint_dropped && swap_model != nullptr &&
-        clock::now() >=
-            run_start + std::chrono::milliseconds(c.fleet_window_ms)) {
-      train::SaveCheckpoint(
-          *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-      checkpoint_dropped = true;
-    }
-    max_tier = std::max(max_tier, server.stats().tier);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (!checkpoint_dropped && swap_model != nullptr) {
-    train::SaveCheckpoint(
-        *swap_model, train::CheckpointPathForStep(watch_dir.string(), 1));
-  }
-  for (std::thread& t : workers) t.join();
-  max_tier = std::max(max_tier, server.stats().tier);
-
-  // The reload must land before the probes (the reloader retries through
-  // any injected staging fault).
-  int64_t hot_swaps = 0;
-  if (c.fleet_hot_swap) {
-    infer::CheckpointReloader* reloader = fleet.reloader(reload_id);
-    const auto swap_deadline = clock::now() + std::chrono::seconds(60);
-    while (reloader->stats().swaps == 0 && clock::now() < swap_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    hot_swaps = reloader->stats().swaps;
-  }
-
-  // Bitwise probes, after the backlog drains: every tenant must serve
-  // exactly what its standalone session serves — the reloaded tenant, what
-  // the staged twin serves. Generous retries ride out tier recovery.
-  int64_t bitwise_models = 0;
-  int64_t post_swap_bitwise = c.fleet_hot_swap ? 0 : -1;
-  for (const FleetTenant& tenant : tenants) {
-    infer::RetryPolicy policy;
-    policy.max_attempts = 64;
-    policy.initial_backoff_us = 2000;
-    policy.max_backoff_us = 50000;
-    policy.jitter_seed = c.workload_seed;
-    const infer::RetryResult probe =
-        infer::SubmitWithRetry(&server, tenant.id, w.ring[0], policy);
-    const bool reloaded = c.fleet_hot_swap && tenant.id == reload_id;
-    const std::vector<float>& expected =
-        reloaded && hot_swaps > 0 ? swap_reference : reference[tenant.id];
-    const bool bitwise = probe.forecast.ok && probe.forecast.values == expected;
-    if (bitwise) ++bitwise_models;
-    if (reloaded) post_swap_bitwise = bitwise && hot_swaps > 0 ? 1 : 0;
-  }
-
-  fleet.StopReloaders();
-  server.Shutdown();
-  const infer::FleetStats fleet_stats = server.stats();
-  const int64_t faults_fired = fault::FaultFireCount();
-  fault::DisarmAllFaultPoints();
-  if (c.fleet_hot_swap) {
-    std::error_code ec;
-    std::filesystem::remove_all(watch_dir, ec);
-  }
-
-  // Per-(model, window) trajectory records, plus per-tenant aggregates for
-  // the isolation summaries.
-  struct WindowAgg {
-    int64_t offered = 0, completed = 0, shed = 0, expired = 0;
-    std::vector<double> latencies_ms;
-  };
-  const double window_s = static_cast<double>(c.fleet_window_ms) / 1000.0;
-  int64_t total_completed = 0;
-  int64_t high_offered = 0, high_shed = 0, high_expired = 0;
-  int64_t hot_offered = 0, hot_shed = 0;
-  double high_p99_ms = 0.0;
-  int64_t best_priority = tenants.front().slo.priority;
-  for (const FleetTenant& tenant : tenants) {
-    best_priority = std::min(best_priority, tenant.slo.priority);
-  }
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    const FleetTenant& tenant = tenants[t];
-    const bool is_hot = tenant.factor == c.fleet_hot_factor &&
-                        tenant.id == (c.fleet_hot_model.empty()
-                                          ? tenants.back().id
-                                          : c.fleet_hot_model);
-    std::vector<WindowAgg> aggs(static_cast<size_t>(c.fleet_windows));
-    std::vector<double> tenant_latencies;
-    for (const Sample& sample : channels[t]->samples) {
-      WindowAgg& agg = aggs[static_cast<size_t>(sample.window)];
-      ++agg.offered;
-      if (sample.ok) {
-        ++agg.completed;
-        agg.latencies_ms.push_back(sample.latency_ms);
-        tenant_latencies.push_back(sample.latency_ms);
-      } else if (sample.reason == infer::RejectReason::kDeadlineExceeded) {
-        ++agg.expired;
-      } else {
-        ++agg.shed;
-      }
-    }
-    for (int64_t i = 0; i < c.fleet_windows; ++i) {
-      const WindowAgg& agg = aggs[static_cast<size_t>(i)];
-      total_completed += agg.completed;
-      if (tenant.slo.priority == best_priority && !is_hot) {
-        high_offered += agg.offered;
-        high_shed += agg.shed;
-        high_expired += agg.expired;
-      }
-      if (is_hot) {
-        hot_offered += agg.offered;
-        hot_shed += agg.shed;
-      }
-      const double denom =
-          static_cast<double>(std::max<int64_t>(agg.offered, 1));
-      json::Value record = ServingRecord(
-          "fleet", "fleet", threads, c.max_batch_size, agg.offered,
-          metrics::SummarizeLatencies(agg.latencies_ms),
-          static_cast<double>(agg.completed) / std::max(window_s, 1e-9));
-      record.Set("model", json::Value::Str(tenant.id));
-      record.Set("slo", json::Value::Str(tenant.slo.name));
-      record.Set("priority", json::Value::Int(tenant.slo.priority));
-      record.Set("window", json::Value::Int(i));
-      record.Set("completed", json::Value::Int(agg.completed));
-      record.Set("shed", json::Value::Int(agg.shed));
-      record.Set("expired", json::Value::Int(agg.expired));
-      record.Set("shed_rate",
-                 json::Value::Number(static_cast<double>(agg.shed) / denom));
-      record.Set("deadline_miss_rate",
-                 json::Value::Number(static_cast<double>(agg.expired) /
-                                     denom));
-      sink->AddRecord(std::move(record));
-    }
-    if (tenant.slo.priority == best_priority && !is_hot) {
-      high_p99_ms = std::max(
-          high_p99_ms, metrics::SummarizeLatencies(tenant_latencies).p99);
-    }
-  }
-
-  // Isolation summaries. "high" covers the healthy best-priority tenants;
-  // "hot" is the past-saturation one. The reload must touch exactly one
-  // lane: every other model's session_swaps stays zero.
-  int64_t others_session_swaps = 0;
-  int64_t rejected_quota = 0;
-  for (const auto& [id, model_stats] : fleet_stats.models) {
-    rejected_quota += model_stats.rejected_quota;
-    if (!(c.fleet_hot_swap && id == reload_id)) {
-      others_session_swaps += model_stats.session_swaps;
-    }
-  }
-  const double high_denom =
-      static_cast<double>(std::max<int64_t>(high_offered, 1));
-  const double hot_denom =
-      static_cast<double>(std::max<int64_t>(hot_offered, 1));
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation_rps));
-  sink->SetSummary("fleet_models",
-                   json::Value::Int(static_cast<int64_t>(tenants.size())));
-  sink->SetSummary("fleet_completed", json::Value::Int(total_completed));
-  sink->SetSummary("fleet_high_shed_rate",
-                   json::Value::Number(static_cast<double>(high_shed) /
-                                       high_denom));
-  sink->SetSummary("fleet_high_deadline_miss_rate",
-                   json::Value::Number(static_cast<double>(high_expired) /
-                                       high_denom));
-  sink->SetSummary("fleet_high_p99_ms", json::Value::Number(high_p99_ms));
-  sink->SetSummary("fleet_hot_shed_rate",
-                   json::Value::Number(static_cast<double>(hot_shed) /
-                                       hot_denom));
-  sink->SetSummary("rejected_quota", json::Value::Int(rejected_quota));
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
-  sink->SetSummary("bitwise_models", json::Value::Int(bitwise_models));
-  sink->SetSummary("others_session_swaps",
-                   json::Value::Int(others_session_swaps));
-  sink->SetSummary("faults_armed", json::Value::Int(faults_armed));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(fleet_stats.degrade_transitions));
-
-  if (total_completed == 0) {
-    *error = "fleet run completed zero requests";
-    return false;
-  }
-  if (c.fleet_hot_swap && hot_swaps == 0) {
-    *error = "fleet run never hot-swapped the staged checkpoint";
-    return false;
-  }
-  if (c.fleet_hot_swap && post_swap_bitwise != 1) {
-    *error = "post-swap fleet forecast is not bitwise the staged twin";
-    return false;
-  }
-  if (bitwise_models != static_cast<int64_t>(tenants.size())) {
-    *error = "fleet forecasts diverge from the standalone sessions (" +
-             std::to_string(bitwise_models) + "/" +
-             std::to_string(tenants.size()) + " bitwise)";
-    return false;
-  }
-  if (others_session_swaps != 0) {
-    *error = "hot reload perturbed other models' sessions (" +
-             std::to_string(others_session_swaps) + " unexpected swaps)";
-    return false;
-  }
-  return true;
-}
-
-bool RunServing(const ServingConfig& config, MetricsSink* sink,
-                std::string* error) {
-  std::vector<std::string> backends;
-  if (!ResolveServingBackends(config, &backends, error)) return false;
-  const ServingWorkload w = BuildServingWorkload(config);
-
-  double eager_p50 = 0.0;
-  double plan_p50 = 0.0;
-  bool parity_ran = false;
-  bool ok = true;
-  // The backend axis is the outermost loop: sessions (and hence captured
-  // plans) are rebuilt per backend so every number is measured under the
-  // backend it is labeled with. The prior backend is restored on exit.
-  const std::string original_backend = kernels::ActiveBackend().name;
-  for (const std::string& backend : backends) {
-    if (!kernels::SetActiveBackend(backend, error)) {
-      ok = false;
-      break;
-    }
-    if (backends.size() > 1) {
-      std::printf("serving backend: %s\n", backend.c_str());
-      std::fflush(stdout);
-    }
-    auto plan_session = BuildServingSession(w, config, /*use_plans=*/true);
-    if (plan_session == nullptr) {
-      *error = "failed to build the plan-serving inference session";
-      ok = false;
-      break;
-    }
-    std::unique_ptr<infer::InferenceSession> eager_session;
-
-    for (const std::string& scenario : config.scenarios) {
-      if (!ResolveServingScenario(scenario, error)) {
-        ok = false;
-        break;
-      }
-      std::printf("serving scenario: %s\n", scenario.c_str());
-      std::fflush(stdout);
-      if (scenario == "session-eager" || scenario == "session-plan") {
-        if (scenario == "session-eager" && eager_session == nullptr) {
-          eager_session = BuildServingSession(w, config, /*use_plans=*/false);
-          if (eager_session == nullptr) {
-            *error = "failed to build the eager inference session";
-            ok = false;
-            break;
-          }
-        }
-        infer::InferenceSession* session = scenario == "session-plan"
-                                               ? plan_session.get()
-                                               : eager_session.get();
-        for (const int64_t threads : config.threads) {
-          for (const int64_t batch : config.batch_sizes) {
-            if (!SweepSession(session, config, w, scenario, threads, batch,
-                              sink, error)) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) break;
-        }
-      } else if (scenario == "server") {
-        for (const int64_t threads : config.threads) {
-          if (!SweepServer(plan_session.get(), config, w, threads, sink,
-                           error)) {
-            ok = false;
-            break;
-          }
-        }
-      } else if (scenario == "overload") {
-        for (const int64_t threads : config.threads) {
-          if (!SweepOverload(config, w, threads, sink, error)) {
-            ok = false;
-            break;
-          }
-        }
-      } else if (scenario == "fleet") {
-        for (const int64_t threads : config.threads) {
-          if (!SweepFleet(config, w, threads, sink, error)) {
-            ok = false;
-            break;
-          }
-        }
-      } else {  // parity
-        if (eager_session == nullptr) {
-          eager_session = BuildServingSession(w, config, /*use_plans=*/false);
-          if (eager_session == nullptr) {
-            *error = "failed to build the eager inference session";
-            ok = false;
-            break;
-          }
-        }
-        for (const int64_t threads : config.threads) {
-          if (!SweepParity(plan_session.get(), eager_session.get(), config, w,
-                           threads, sink, &eager_p50, &plan_p50, error)) {
-            ok = false;
-            break;
-          }
-          parity_ran = true;
-        }
-      }
-      if (!ok) break;
-    }
-    if (!ok) break;
-  }
-  kernels::SetActiveBackend(original_backend);
-  SetNumThreads(1);
-  if (!ok) return false;
-
-  if (parity_ran) {
-    // The headline numbers come from the last (largest) thread count.
-    sink->SetSummary("eager_p50_ms", json::Value::Number(eager_p50));
-    sink->SetSummary("plan_p50_ms", json::Value::Number(plan_p50));
-    sink->SetSummary(
-        "plan_speedup",
-        json::Value::Number(plan_p50 > 0.0 ? eager_p50 / plan_p50 : 0.0));
-    sink->SetSummary("bitwise_identical", json::Value::Int(1));
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // kind = dataset (Table 2)

@@ -388,7 +388,8 @@ const SectionView* FindSection(const std::vector<SectionView>& sections,
 }
 
 bool WriteCheckpointFile(const std::string& path,
-                         const std::vector<Section>& sections) {
+                         const std::vector<Section>& sections,
+                         std::string* error = nullptr) {
   io::AtomicFileWriter writer(path, "checkpoint");
   writer.Write(kMagicV2, sizeof(kMagicV2));
   const uint64_t count = sections.size();
@@ -406,6 +407,7 @@ bool WriteCheckpointFile(const std::string& path,
     D2_LOG(ERROR) << "failed to save checkpoint " << path << " ("
                   << writer.error() << "); previous checkpoint, if any, is "
                   << "intact";
+    if (error != nullptr) *error = writer.error();
     return false;
   }
   return true;
@@ -501,10 +503,11 @@ bool LoadImpl(nn::Module* module, TrainingCheckpoint* state,
 
 }  // namespace
 
-bool SaveCheckpoint(const nn::Module& module, const std::string& path) {
+bool SaveCheckpoint(const nn::Module& module, const std::string& path,
+                    std::string* error) {
   std::vector<Section> sections;
   sections.emplace_back("params", BuildParamsPayload(module));
-  return WriteCheckpointFile(path, sections);
+  return WriteCheckpointFile(path, sections, error);
 }
 
 bool LoadCheckpoint(nn::Module* module, const std::string& path) {

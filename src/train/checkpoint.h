@@ -65,8 +65,9 @@ struct TrainingCheckpoint {
 
 /// Writes a model-only v2 checkpoint (the "export weights" use case).
 /// Returns false (after logging) on I/O failure; the previous file at
-/// `path`, if any, is left intact.
-bool SaveCheckpoint(const nn::Module& module, const std::string& path);
+/// `path`, if any, is left intact, and `error` (when non-null) says why.
+bool SaveCheckpoint(const nn::Module& module, const std::string& path,
+                    std::string* error = nullptr);
 
 /// Restores parameters from a v1 or v2 checkpoint into `module`.
 /// Transactional: on any failure (I/O, corruption, architecture mismatch)

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -32,6 +33,7 @@
 #include "exec/plan_verifier.h"
 #include "infer/session.h"
 #include "tensor/buffer_arena.h"
+#include "tensor/kernels.h"
 #include "tensor/op_registry.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -211,6 +213,46 @@ TEST_F(ZooCaptureTest, ReplayMatchesEagerBitwiseOnFreshInputs) {
       }
     }
   }
+}
+
+// Small levels replay inline; a level whose steps write at least
+// kEwiseGrain floats is spread over the pool. Both schedules, at 1 and 4
+// threads, must match eager bitwise.
+TEST(LevelScheduleTest, LargeLevelsReplayInParallelBitwise) {
+  const int original_threads = GetNumThreads();
+  Rng rng(5);
+  const Tensor x = Tensor::Randn({64, kernels::kEwiseGrain / 64}, rng);
+  const auto branches = [](const Tensor& in) {
+    // Three independent full-size steps share level 1.
+    return Add(Add(Relu(in), Abs(in)), MulScalar(in, 2.0f));
+  };
+  std::shared_ptr<const exec::ExecutionPlan> plan;
+  std::vector<float> reference;
+  {
+    NoGradGuard no_grad;
+    exec::GraphCapture capture;
+    capture.BindInput("x", x);
+    Tensor out = branches(x);
+    reference = out.Data();
+    plan = capture.Finish(out);
+    ASSERT_NE(plan, nullptr) << capture.error();
+  }
+  ASSERT_GE(plan->levels().front().second - plan->levels().front().first, 3);
+
+  exec::PlanExecutor executor(plan);
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const exec::ReplayMode mode :
+         {exec::ReplayMode::kSerial, exec::ReplayMode::kLevelParallel}) {
+      ASSERT_EQ(executor.Run({{x.Data().data(), x.numel()}}, {}, mode),
+                exec::ReplayStatus::kOk);
+      EXPECT_EQ(std::memcmp(executor.output(), reference.data(),
+                            reference.size() * sizeof(float)),
+                0)
+          << "threads " << threads;
+    }
+  }
+  SetNumThreads(original_threads);
 }
 
 // Without BindIndexInput the capture bakes a snapshot of the index vector;

@@ -3,10 +3,12 @@
 // ill-typed keys), the JSON value type beneath the sinks and gates, the
 // registry of named axes (every listed model must resolve and build), the
 // MetricsSink schema, the RegressionGate's pass/fail/diff behavior, matrix
-// expansion counts, and a small end-to-end RunSpec.
+// expansion counts and range checks, the fleet tenant parser, and small
+// end-to-end RunSpecs.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "experiment/registry.h"
 #include "experiment/regression_gate.h"
 #include "experiment/runner.h"
+#include "experiment/serving.h"
 #include "experiment/spec.h"
 #include "train/trainer.h"
 
@@ -464,6 +467,89 @@ TEST(RunnerTest, FleetExpansionRejectsBadTenantLists) {
                 "[fleet]\nmodels = metr-la:gold\nhot_model = nope\n"),
       &cells, &error));
   EXPECT_NE(error.find("nope"), std::string::npos) << error;
+}
+
+TEST(RunnerTest, ServingExpansionRejectsOutOfRangeSizes) {
+  // Each of these passed --dry-run once and then crashed or failed a real
+  // run (heap overflow, SIGFPE, CHECK abort, or an empty trajectory).
+  const std::string head =
+      "[experiment]\nname = m\nkind = serving\n"
+      "[serving]\nscenarios = overload\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"threads = 1\n[workload]\nrequests = 95\nnum_steps = 100\n",
+       "[workload] requests"},
+      {"threads = 1\n[workload]\nrequests = 0\n", "[workload] requests"},
+      {"threads = 0\n", "[serving] threads"},
+      {"threads = 1\nbatch_sizes = 0\n", "[serving] batch_sizes"},
+      {"threads = 1\nmax_batch_size = 0\n", "[serving] max_batch_size"},
+      {"threads = 1\n[overload]\nwindows = 0\n", "[overload] windows"},
+      {"threads = 1\n[overload]\nwindow_ms = 0\n", "[overload] window_ms"},
+      {"threads = 1\n[fleet]\nwindows = 0\n", "[fleet] windows"},
+      {"threads = 1\n[fleet]\nwindow_ms = -5\n", "[fleet] window_ms"},
+  };
+  for (const auto& [body, key] : cases) {
+    std::vector<std::string> cells;
+    std::string error;
+    EXPECT_FALSE(ExpandMatrix(ParseSpec(head + body), &cells, &error))
+        << body;
+    EXPECT_NE(error.find(key), std::string::npos) << body << ": " << error;
+  }
+  // The largest ring that fits: the last window ends on the last step.
+  std::vector<std::string> cells;
+  std::string error;
+  EXPECT_TRUE(ExpandMatrix(
+      ParseSpec(head + "threads = 1\n[workload]\nrequests = 89\n"
+                       "num_steps = 100\n"),
+      &cells, &error))
+      << error;
+}
+
+TEST(RunnerTest, OverloadFailsFastWhenTheCheckpointCannotBeStaged) {
+  // The staged hot-swap checkpoint hits ENOSPC: the run must fail with the
+  // path and the I/O error at once, not after the 60 s swap deadline.
+  const Spec spec = ParseSpec(
+      "[experiment]\nname = stage_fault\nkind = serving\n"
+      "[workload]\nrequests = 16\n"
+      "[serving]\nscenarios = overload\nthreads = 1\nmax_batch_size = 2\n"
+      "producers = 1\n"
+      "[overload]\nwindows = 2\nwindow_ms = 100\nhot_swap = 1\n"
+      "[chaos]\nfaults = checkpoint.write@0\n");
+  RunOptions options;
+  options.out_dir = testing::TempDir();
+  options.baseline_path = "none";
+  const auto start = std::chrono::steady_clock::now();
+  const RunResult result = RunSpec(spec, options);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("cannot stage the hot-reload checkpoint"),
+            std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("ckpt-000000001.d2ck"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("No space left on device"), std::string::npos)
+      << result.error;
+  EXPECT_LT(seconds, 10.0);
+}
+
+TEST(ServingTest, FleetTenantsTrimBlanksAroundEntries) {
+  // serve_forecasts passes --models entries untrimmed ("a:gold, b:silver").
+  ServingConfig config;
+  config.fleet_models = {"a:gold", " b:silver ", " "};
+  std::vector<FleetTenant> tenants;
+  std::string error;
+  ASSERT_TRUE(ParseFleetTenants(config, &tenants, &error)) << error;
+  ASSERT_EQ(tenants.size(), 2u);
+  EXPECT_EQ(tenants[0].id, "a");
+  EXPECT_EQ(tenants[0].slo.name, "gold");
+  EXPECT_EQ(tenants[1].id, "b");
+  EXPECT_EQ(tenants[1].slo.name, "silver");
+  // Seeds follow the non-blank position, and the last tenant is hot.
+  EXPECT_EQ(tenants[1].seed, config.model_seed + 32);
+  EXPECT_TRUE(tenants[1].hot);
+  EXPECT_FALSE(tenants[0].hot);
+  EXPECT_EQ(tenants[1].factor, config.fleet_hot_factor);
 }
 
 TEST(RunnerTest, OverloadAndChaosKeysAreConsumedByDryRun) {
