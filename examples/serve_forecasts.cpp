@@ -107,15 +107,26 @@ using SubmitFn = std::function<std::future<infer::Forecast>(
     size_t stream, infer::ForecastRequest request)>;
 
 // Drives `streams` open-loop streams sharing load.rate_rps, stream i
-// cycling through ring entries i, i + streams, ...; when `reloader` is
-// set, drops `stage`'s twin checkpoint halfway through the run and then
-// waits for the swap. Returns per-stream samples and the run's wall time;
-// a staging failure lands in `error`.
-std::vector<std::vector<LoadSample>> DriveLoad(
-    const LoadConfig& load, size_t streams, const ServingWorkload& w,
-    const SubmitFn& submit, CheckpointStage* stage,
-    const infer::CheckpointReloader* reloader, double* elapsed_s,
-    std::string* error) {
+// cycling through ring entries i, i + streams, ... through `submit`. With
+// --reload-dir, the twin of weights `seed` is staged in `reload_dir`,
+// checkpointed halfway through the run and hot-reloaded into `host`, and
+// the run waits for the swap; the watcher stops before this returns.
+// Fills per-stream samples and the run's wall time; false with `error` set
+// when staging or the swap fails.
+bool DriveLoad(const LoadConfig& load, size_t streams, const ServingWorkload& w,
+               const ServingConfig& c, const SubmitFn& submit,
+               infer::SessionHost* host, uint64_t seed, bool use_plans,
+               const std::string& reload_dir,
+               std::vector<std::vector<LoadSample>>* samples,
+               double* elapsed_s, std::string* error) {
+  CheckpointStage stage;
+  std::unique_ptr<infer::CheckpointReloader> reloader;
+  if (!load.reload_dir.empty()) {
+    reloader = experiment::StartTwinReloader(
+        w, c, seed, use_plans, reload_dir, /*fresh=*/false,
+        load.reload_poll_ms, host, &stage, nullptr, error);
+    if (reloader == nullptr) return false;
+  }
   std::vector<experiment::LoadStream> lanes(streams);
   for (size_t i = 0; i < streams; ++i) {
     lanes[i].rate_rps = load.rate_rps / static_cast<double>(streams);
@@ -129,17 +140,17 @@ std::vector<std::vector<LoadSample>> DriveLoad(
   experiment::OpenLoopOptions options;
   options.window_s = load.seconds;
   options.on_tick = [&](double elapsed) {
-    return stage->DropAt(elapsed, load.seconds / 2.0, error);
+    return stage.DropAt(elapsed, load.seconds / 2.0, error);
   };
   const auto start = std::chrono::steady_clock::now();
-  auto samples = experiment::RunOpenLoop(lanes, options);
+  *samples = experiment::RunOpenLoop(lanes, options);
   *elapsed_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
                    .count();
   if (reloader != nullptr && error->empty()) {
-    stage->WaitForSwap(*reloader, error);
+    stage.WaitForSwap(*reloader, error);
   }
-  return samples;
+  return error->empty();
 }
 
 // Drives the open-loop load against one session and prints its report.
@@ -156,51 +167,34 @@ bool RunLoad(infer::InferenceSession* session, const char* label,
   // Hot-reload: watch --reload-dir and swap staged checkpoints in while
   // the producers keep submitting. The demo seeds the directory itself: a
   // twin model (different weights, same architecture) is checkpointed
-  // halfway through the run, so the swap happens under live traffic.
-  CheckpointStage stage;
-  std::unique_ptr<infer::CheckpointReloader> reloader;
-  std::string error;
-  if (!load.reload_dir.empty()) {
-    // Per-mode subdirectory so --mode=both does not replay the eager run's
-    // checkpoint into the plan run at t=0.
-    if (!experiment::StageTwin(w, c, c.model_seed,
-                               load.reload_dir + "/" + label,
-                               /*fresh=*/false, &stage, nullptr, &error)) {
-      std::fprintf(stderr, "[%s] %s\n", label, error.c_str());
-      return false;
-    }
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = stage.dir();
-    reload_options.poll_interval_ms = load.reload_poll_ms;
-    reloader = std::make_unique<infer::CheckpointReloader>(
-        &server, [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
-        w.scaler, ServingSessionOptions(w, c, use_plans), reload_options);
-    reloader->Start();
-  }
-
+  // halfway through the run, so the swap happens under live traffic. Each
+  // mode gets its own subdirectory so --mode=both does not replay the eager
+  // run's checkpoint into the plan run at t=0.
+  const std::string reload_dir = load.reload_dir + "/" + label;
   std::printf("\n[%s] open-loop load: %.0f req/s for %.1f s from %d "
               "producer%s\n",
               label, load.rate_rps, load.seconds, producers,
               producers == 1 ? "" : "s");
+  std::vector<std::vector<LoadSample>> samples;
   double elapsed = 0.0;
-  const auto samples = DriveLoad(
-      load, static_cast<size_t>(producers), w,
+  std::string error;
+  const bool ok = DriveLoad(
+      load, static_cast<size_t>(producers), w, c,
       [&](size_t, infer::ForecastRequest request) {
         return server.Submit(std::move(request));
       },
-      &stage, reloader.get(), &elapsed, &error);
-  reloader.reset();  // stop the watcher before the server drains
+      &server, c.model_seed, use_plans, reload_dir, &samples, &elapsed,
+      &error);
   server.Shutdown();
-  if (!error.empty()) {
+  if (!ok) {
     std::fprintf(stderr, "[%s] %s\n", label, error.c_str());
     return false;
   }
 
-  std::vector<LoadSample> all;
+  experiment::WindowTally tally;
   for (const std::vector<LoadSample>& lane : samples) {
-    all.insert(all.end(), lane.begin(), lane.end());
+    tally += experiment::TallyWindows(lane, 1)[0];
   }
-  const experiment::WindowTally tally = experiment::TallyWindows(all, 1)[0];
   const metrics::LatencyStats stats =
       metrics::SummarizeLatencies(tally.latencies_ms);
   const infer::BatchingServerStats server_stats = server.stats();
@@ -234,11 +228,11 @@ bool RunLoad(infer::InferenceSession* session, const char* label,
                 static_cast<long long>(server_stats.expired_deadlines),
                 infer::OverloadTierName(server_stats.tier));
   }
-  if (stage.open()) {
+  if (!load.reload_dir.empty()) {
     std::printf("[%s] hot-reload: %lld session swap%s from %s\n", label,
                 static_cast<long long>(server_stats.session_swaps),
                 server_stats.session_swaps == 1 ? "" : "s",
-                stage.dir().c_str());
+                reload_dir.c_str());
   }
   const infer::SessionStats session_stats = session->session_stats();
   if (session_stats.plans_built > 0) {
@@ -271,38 +265,22 @@ bool RunFleetLoad(const std::vector<FleetTenant>& tenants,
   // Hot reload in fleet mode: the watcher targets the *first* tenant's
   // lane; every other lane must ride out the swap untouched.
   const FleetTenant& reloaded = tenants.front();
-  CheckpointStage stage;
-  if (!load.reload_dir.empty()) {
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = load.reload_dir + "/fleet-" + reloaded.id;
-    reload_options.poll_interval_ms = load.reload_poll_ms;
-    if (!experiment::StageTwin(w, c, reloaded.seed, reload_options.directory,
-                               /*fresh=*/false, &stage, nullptr, &error) ||
-        !fleet.AttachReloader(
-            reloaded.id, server.host(reloaded.id),
-            [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
-            w.scaler, ServingSessionOptions(w, c, /*use_plans=*/true),
-            reload_options, &error)) {
-      std::fprintf(stderr, "fleet reloader failed: %s\n", error.c_str());
-      return false;
-    }
-    fleet.StartReloaders();
-  }
-
+  const std::string reload_dir = load.reload_dir + "/fleet-" + reloaded.id;
   std::printf("\n[fleet] open-loop load: %.0f req/s split across %zu "
               "model%s for %.1f s\n",
               load.rate_rps, tenants.size(), tenants.size() == 1 ? "" : "s",
               load.seconds);
+  std::vector<std::vector<LoadSample>> samples;
   double elapsed = 0.0;
-  const auto samples = DriveLoad(
-      load, tenants.size(), w,
+  const bool ok = DriveLoad(
+      load, tenants.size(), w, c,
       [&](size_t m, infer::ForecastRequest request) {
         return server.Submit(tenants[m].id, std::move(request));
       },
-      &stage, fleet.reloader(reloaded.id), &elapsed, &error);
-  fleet.StopReloaders();
+      server.host(reloaded.id), reloaded.seed, /*use_plans=*/true,
+      reload_dir, &samples, &elapsed, &error);
   server.Shutdown();
-  if (!error.empty()) {
+  if (!ok) {
     std::fprintf(stderr, "[fleet] %s\n", error.c_str());
     return false;
   }
@@ -335,11 +313,11 @@ bool RunFleetLoad(const std::vector<FleetTenant>& tenants,
                 static_cast<long long>(ms.rejected + ms.expired_deadlines),
                 rejects, static_cast<long long>(ms.session_swaps));
   }
-  if (stage.open()) {
+  if (!load.reload_dir.empty()) {
     std::printf("[fleet] hot-reload: %lld swap%s on '%s' from %s\n",
                 static_cast<long long>(stats.session_swaps),
                 stats.session_swaps == 1 ? "" : "s", reloaded.id.c_str(),
-                stage.dir().c_str());
+                reload_dir.c_str());
   }
   return true;
 }

@@ -40,7 +40,10 @@
 #      on bench/baselines/serving.json), `run_experiment specs/fleet.spec`
 #      (BENCH_fleet.json, gated on the tenant-isolation bounds in
 #      bench/baselines/fleet.json), and bench_micro_kernels
-#      (BENCH_kernels.json), all shape-validated.
+#      (BENCH_kernels.json), all shape-validated; plus the full-scale
+#      `run_experiment specs/overload.spec`, gated on
+#      bench/baselines/overload.json (its JSON is not tracked and lands in
+#      the smoke out-dir).
 #   5. Experiments        — the declarative harness end to end: the smoke
 #      training spec runs gated against its checked-in baseline, --list
 #      enumerates the registry, and a run against an impossible baseline
@@ -233,6 +236,11 @@ build/tools/run_experiment specs/serving_sweep.spec > /dev/null
 # offered 2x saturation, sheds land as typed quota rejections, every model
 # is bitwise vs a standalone session, the reload touches one lane).
 build/tools/run_experiment specs/fleet.spec > /dev/null
+# Full-scale overload run, gated on bench/baselines/overload.json: the shed
+# rate stays inside (0.02, 0.98), the degrade tier moves at least once,
+# all four scripted faults fire, and the mid-run swap lands bitwise.
+build/tools/run_experiment --out-dir "$smoke_out" specs/overload.spec \
+  > /dev/null
 cmake --build build -j "$(nproc)" --target bench_micro_kernels
 # Skip the google-benchmark section (nothing matches); the hand-timed sweep
 # that feeds BENCH_kernels.json still runs.

@@ -131,7 +131,6 @@ class CheckpointStage {
   bool WaitForSwap(const infer::CheckpointReloader& reloader,
                    std::string* error) const;
 
-  bool open() const { return !dir_.empty(); }
   const std::string& dir() const { return dir_; }
 
  private:

@@ -4,12 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -20,6 +18,7 @@
 #include "experiment/registry.h"
 #include "infer/batching_server.h"
 #include "infer/fleet/fleet_server.h"
+#include "infer/hot_reload.h"
 #include "infer/retry.h"
 #include "metrics/metrics.h"
 #include "tensor/kernels/registry.h"
@@ -236,33 +235,33 @@ bool SweepParity(infer::InferenceSession* plan_session,
          time_one(plan_session, "plan", plan_p50);
 }
 
-/// Arms the [chaos] "point@offset" scripts (kErrno, one-shot) for one
-/// serving run, and disarms every fault point when the run ends.
-class ChaosFaults {
- public:
-  explicit ChaosFaults(const std::vector<std::string>& entries) {
-    for (const std::string& entry : entries) {
-      fault::FaultScript script;
-      script.kind = fault::FaultKind::kErrno;
-      const size_t at = entry.find('@');
-      if (at != std::string::npos) {
-        script.trigger_offset =
-            std::strtoll(entry.c_str() + at + 1, nullptr, 10);
-      }
-      fault::ArmFaultPoint(entry.substr(0, at), script);
-    }
-  }
-  ~ChaosFaults() { fault::DisarmAllFaultPoints(); }
-  ChaosFaults(const ChaosFaults&) = delete;
-  ChaosFaults& operator=(const ChaosFaults&) = delete;
-};
+/// A [chaos] faults entry: the fault point and its trigger offset.
+using ChaosFault = std::pair<std::string, int64_t>;
 
-/// A private hot-reload watch directory for one scenario run.
-std::string TempWatchDir(const std::string& scenario, int64_t threads) {
-  return (std::filesystem::temp_directory_path() /
-          ("d2stgnn_" + scenario + "_" + std::to_string(::getpid()) + "_t" +
-           std::to_string(threads)))
-      .string();
+/// Parses [chaos] faults entries "point[@offset]": the point must be
+/// non-empty and the offset, when given, a non-negative integer with
+/// nothing after it.
+bool ParseChaosFaults(const std::vector<std::string>& entries,
+                      std::vector<ChaosFault>* out, std::string* error) {
+  for (const std::string& entry : entries) {
+    const size_t at = entry.find('@');
+    ChaosFault fault{entry.substr(0, at), 0};
+    bool ok = !fault.first.empty();
+    if (ok && at != std::string::npos) {
+      const char* last = entry.data() + entry.size();
+      const auto [end, ec] =
+          std::from_chars(entry.data() + at + 1, last, fault.second);
+      ok = ec == std::errc() && end == last && fault.second >= 0;
+    }
+    if (!ok) {
+      *error = "[chaos] faults entry '" + entry +
+               "' is not point[@offset] (a fault point name and an "
+               "optional non-negative integer offset)";
+      return false;
+    }
+    out->push_back(std::move(fault));
+  }
+  return true;
 }
 
 /// One trajectory row of an open-loop scenario: the ServingRecord columns
@@ -305,402 +304,317 @@ bool ReferenceForecast(const ServingWorkload& w, const ServingConfig& config,
   return true;
 }
 
-/// Drives `streams` for `windows` windows of `window_s`, dropping the
-/// stage's twin checkpoint one window in (a failed drop stops the run and
-/// lands in `stage_error`) and tracking the worst tier `tier()` reports.
-std::vector<std::vector<LoadSample>> DriveWindows(
-    const std::vector<LoadStream>& streams, int64_t windows, double window_s,
-    const std::function<infer::OverloadTier()>& tier, CheckpointStage* stage,
-    infer::OverloadTier* max_tier, std::string* stage_error) {
-  OpenLoopOptions options;
-  options.windows = windows;
-  options.window_s = window_s;
-  options.on_tick = [&](double elapsed_s) {
-    *max_tier = std::max(*max_tier, tier());
-    return stage->DropAt(elapsed_s, window_s, stage_error);
-  };
-  return RunOpenLoop(streams, options);
-}
-
-/// Open-loop producers past saturation: the overload scenario of DESIGN.md
-/// §13. Offered load is a multiple of the *measured* serving rate
-/// (self-calibrating, so the same spec saturates under a sanitizer too),
-/// every request carries a deadline, every Nth is low priority, the
-/// scripted chaos faults fire mid-run, and a checkpoint hot-swap lands
-/// while the server is shedding. Emits one record per time window — the
-/// shed-rate / deadline-miss / p99 trajectory — plus run-level summaries.
-bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
-                   int64_t threads, MetricsSink* sink, std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-
-  // The server takes shared ownership: a mid-run SwapSession retires this
-  // session once the last in-flight batch lets go of it.
-  std::shared_ptr<infer::InferenceSession> session(
-      BuildServingSession(w, c, /*use_plans=*/true).release());
-  if (session == nullptr) {
-    *error = "failed to build the overload inference session";
-    return false;
-  }
-  Saturation saturation;
-  if (!CalibrateSaturation(session.get(), w.ring, c.max_batch_size,
-                           &saturation, error)) {
-    return false;
-  }
-  const double offered_rps = std::max(1.0, saturation.rps * c.overload_factor);
-  const int64_t deadline_us = saturation.DeadlineUs(c.deadline_ms);
-  const ChaosFaults chaos(c.chaos_faults);
-
-  infer::BatchingOptions options;
-  options.max_batch_size = c.max_batch_size;
-  options.max_wait_us = c.max_wait_us;
-  options.max_queue_depth = c.max_queue_depth;
-  options.admission.rate_rps = c.overload_rate_rps;
-  options.admission.shed_latency_us = c.shed_latency_ms * 1000;
-  infer::BatchingServer server(session, options);
-
-  // Hot-reload plumbing: twin weights (model_seed + 1) are checkpointed
-  // into a private watch directory one window into the run.
-  CheckpointStage stage;
-  std::vector<float> swap_reference;
-  std::unique_ptr<infer::CheckpointReloader> reloader;
-  if (c.hot_swap) {
-    if (!StageTwin(w, c, c.model_seed, TempWatchDir("overload", threads),
-                   /*fresh=*/true, &stage, &swap_reference, error)) {
-      return false;
-    }
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = stage.dir();
-    reload_options.poll_interval_ms = std::max<int64_t>(10, c.window_ms / 10);
-    reloader = std::make_unique<infer::CheckpointReloader>(
-        &server, [&w, &c] { return BuildServingModel(w, c, c.model_seed); },
-        w.scaler, ServingSessionOptions(w, c, /*use_plans=*/true),
-        reload_options);
-    reloader->Start();
-  }
-
-  // One sequence across the producers keeps the low-priority share at
-  // 1/low_priority_every of the offered load.
-  const int64_t producers = std::max<int64_t>(1, c.producers);
-  std::atomic<int64_t> sequence{0};
-  std::vector<LoadStream> streams(static_cast<size_t>(producers));
-  for (LoadStream& stream : streams) {
-    stream.rate_rps = offered_rps / static_cast<double>(producers);
-    stream.submit = [&](int64_t) {
-      const int64_t seq = sequence.fetch_add(1);
-      infer::ForecastRequest request =
-          w.ring[static_cast<size_t>(seq) % w.ring.size()];
-      request.deadline_us = deadline_us;
-      if (c.low_priority_every > 0 &&
-          seq % c.low_priority_every == c.low_priority_every - 1) {
-        request.priority = infer::RequestPriority::kLow;
-      }
-      return server.Submit(std::move(request));
-    };
-  }
-  const double window_s = static_cast<double>(c.window_ms) / 1000.0;
-  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
-  std::string stage_error;
-  std::vector<LoadSample> samples;
-  for (const std::vector<LoadSample>& stream : DriveWindows(
-           streams, c.overload_windows, window_s,
-           [&] { return server.stats().tier; }, &stage, &max_tier,
-           &stage_error)) {
-    samples.insert(samples.end(), stream.begin(), stream.end());
-  }
-
-  // The swap must land (the reloader retries through injected faults) and
-  // the post-swap forecast must be bitwise the twin reference.
-  int64_t hot_swaps = 0;
-  int64_t post_swap_bitwise = -1;
-  if (reloader != nullptr) {
-    post_swap_bitwise = 0;
-    if (stage_error.empty() && stage.WaitForSwap(*reloader, &stage_error)) {
-      infer::RetryPolicy policy;
-      policy.max_attempts = 16;
-      policy.initial_backoff_us = 5000;
-      policy.jitter_seed = c.workload_seed;
-      const infer::RetryResult probe =
-          infer::SubmitWithRetry(&server, w.ring[0], policy);
-      post_swap_bitwise =
-          probe.forecast.ok && probe.forecast.values == swap_reference ? 1 : 0;
-    }
-    hot_swaps = reloader->stats().swaps;
-    reloader->Stop();
-  }
-  server.Shutdown();
-  if (!stage_error.empty()) {
-    *error = "overload run: " + stage_error;
-    return false;
-  }
-  const infer::BatchingServerStats server_stats = server.stats();
-  const int64_t faults_fired = fault::FaultFireCount();
-
-  // Per-window trajectory records.
-  WindowTally total;
-  double max_p99_ms = 0.0;
-  const std::vector<WindowTally> tallies =
-      TallyWindows(samples, c.overload_windows);
-  for (int64_t i = 0; i < c.overload_windows; ++i) {
-    const WindowTally& tally = tallies[static_cast<size_t>(i)];
-    total += tally;
-    json::Value record =
-        WindowRecord("overload", threads, c.max_batch_size, window_s, i,
-                     tally, json::Value::Object());
-    max_p99_ms = std::max(max_p99_ms, record.Get("p99_ms").AsDouble());
-    sink->AddRecord(std::move(record));
-  }
-
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation.rps));
-  sink->SetSummary("offered_rps", json::Value::Number(offered_rps));
-  sink->SetSummary("overload_shed_rate",
-                   json::Value::Number(total.Share(total.shed)));
-  sink->SetSummary("overload_deadline_miss_rate",
-                   json::Value::Number(total.Share(total.expired)));
-  sink->SetSummary("overload_completed", json::Value::Int(total.completed));
-  sink->SetSummary("overload_max_p99_ms", json::Value::Number(max_p99_ms));
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
-  sink->SetSummary("faults_armed", json::Value::Int(static_cast<int64_t>(
-                                       c.chaos_faults.size())));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(server_stats.degrade_transitions));
-  sink->SetSummary("session_swaps",
-                   json::Value::Int(server_stats.session_swaps));
-
-  if (total.completed == 0) {
-    *error = "overload run completed zero requests";
-    return false;
-  }
-  if (c.hot_swap && post_swap_bitwise != 1) {
-    *error = "post-swap forecast is not bitwise equal to the staged weights";
-    return false;
-  }
-  return true;
-}
-
-/// The multi-city fleet scenario (DESIGN.md §14): one FleetServer hosts
-/// every configured tenant, each with its own weights, plan cache, and SLO
-/// class. Open-loop streams offer a skewed mix — every healthy tenant well
-/// under saturation, one low-priority tenant past 2x — while a
-/// CheckpointReloader hot-reloads one model mid-run. Emits one record per
-/// (model, window) — the per-tenant shed-rate / p99 / throughput
-/// trajectory — plus the isolation summaries the baseline gates: the
-/// high-priority tenants must ride out the hot tenant's overload, every
-/// model must stay bitwise identical to a standalone single-model session,
-/// and the reload must not perturb any other lane.
-bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
-                int64_t threads, MetricsSink* sink, std::string* error) {
-  SetNumThreads(static_cast<int>(threads));
-
+/// An open-loop run, as data.
+struct LoadRun {
+  std::string scenario;  ///< record scenario and mode
   std::vector<FleetTenant> tenants;
-  if (!ParseFleetTenants(c, &tenants, error)) return false;
-  const std::string reload_id =
-      c.fleet_reload_model.empty() ? tenants.front().id : c.fleet_reload_model;
+  infer::FleetOptions fleet;  ///< the shared queue and admission gate
+  int64_t windows = 1;
+  int64_t window_ms = 250;
+  int64_t deadline_ms = 0;  ///< 0: auto (Saturation::DeadlineUs)
+  std::string reload_id;    ///< the tenant hot-reloaded mid-run ("": none)
+  int64_t reload_poll_ms = 25;
+};
 
-  // Register every tenant, and record the bitwise reference each lane must
-  // reproduce: the same weights served by a standalone single-model
-  // session. The fleet may arbitrate *when* a model runs, never *what* it
-  // computes.
+/// What an open-loop run measured.
+struct LoadOutcome {
+  Saturation saturation;
+  std::vector<double> offered_rps;  ///< per tenant
+  std::vector<WindowTally> totals;  ///< per tenant, over every window
+  double max_window_p99_ms = 0.0;   ///< worst window over every tenant
+  int64_t hot_swaps = 0;
+  int64_t post_swap_bitwise = -1;  ///< -1: no reload
+  int64_t bitwise_models = 0;
+  int64_t others_session_swaps = 0;  ///< swaps outside the reload lane
+  int64_t faults_fired = 0;
+  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
+  infer::FleetStats stats;
+};
+
+/// The one open-loop scenario body (DESIGN.md §13, §14): overload runs it
+/// with one tenant, fleet with many. Every tenant is a lane of one
+/// FleetServer. Offered loads are multiples of the *measured* serving rate
+/// (self-calibrating, so the same spec saturates under a sanitizer too),
+/// every request carries a deadline, the chaos faults fire mid-run, and the
+/// reload tenant's twin checkpoint lands one window in, while the server
+/// sheds. Emits one record per (tenant, window) — the shed-rate /
+/// deadline-miss / p99 trajectory. Fails on a staging error, zero
+/// completions, a lane that is not bitwise what it should serve after the
+/// run (the fleet may arbitrate *when* a model runs, never *what* it
+/// computes), or a swap outside the reload lane.
+bool RunOpenLoopScenario(const ServingConfig& c, const ServingWorkload& w,
+                         int64_t threads, const LoadRun& run,
+                         const std::vector<ChaosFault>& faults,
+                         MetricsSink* sink, LoadOutcome* out,
+                         std::string* error) {
+  SetNumThreads(static_cast<int>(threads));
+  const std::vector<FleetTenant>& tenants = run.tenants;
   infer::ModelFleet fleet;
   if (!AddFleetTenants(w, c, tenants, &fleet, error)) return false;
-  std::map<std::string, std::vector<float>> reference;
-  uint64_t reload_seed = 0;
-  for (const FleetTenant& tenant : tenants) {
-    if (!ReferenceForecast(w, c, tenant.seed, &reference[tenant.id], error)) {
+  // Each lane's bitwise reference: its weights in a standalone session.
+  std::vector<std::vector<float>> reference(tenants.size());
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    if (!ReferenceForecast(w, c, tenants[t].seed, &reference[t], error)) {
       return false;
     }
-    if (tenant.id == reload_id) reload_seed = tenant.seed;
   }
-
-  // Calibrate the saturated serving rate once — every tenant shares the
-  // architecture, so one measurement sizes all the offered loads.
-  Saturation saturation;
+  // The tenants share the architecture: one calibration sizes every load.
   if (!CalibrateSaturation(fleet.session(tenants.front().id).get(), w.ring,
-                           c.max_batch_size, &saturation, error)) {
+                           c.max_batch_size, &out->saturation, error)) {
     return false;
   }
-  const int64_t deadline_us = saturation.DeadlineUs(c.fleet_deadline_ms);
-  const ChaosFaults chaos(c.chaos_faults);
+  const int64_t deadline_us = out->saturation.DeadlineUs(run.deadline_ms);
+  // The chaos faults (kErrno, one-shot) are armed for this run only.
+  struct DisarmOnExit {
+    ~DisarmOnExit() { fault::DisarmAllFaultPoints(); }
+  } disarm;
+  for (const auto& [point, offset] : faults) {
+    fault::FaultScript script;
+    script.kind = fault::FaultKind::kErrno;
+    script.trigger_offset = offset;
+    fault::ArmFaultPoint(point, script);
+  }
+  infer::FleetServer server(&fleet, run.fleet);
 
-  infer::FleetOptions fleet_options;
-  fleet_options.max_queue_depth = c.max_queue_depth;
-  infer::FleetServer server(&fleet, fleet_options);
-
-  // Hot-reload plumbing for the one reloaded tenant: twin weights
-  // (seed + 1) land in a private watch directory one window into the run.
+  const auto reloaded = std::find_if(
+      tenants.begin(), tenants.end(),
+      [&run](const FleetTenant& t) { return t.id == run.reload_id; });
   CheckpointStage stage;
-  std::vector<float> swap_reference;
-  if (c.fleet_hot_swap) {
-    if (!StageTwin(w, c, reload_seed, TempWatchDir("fleet", threads),
-                   /*fresh=*/true, &stage, &swap_reference, error)) {
-      return false;
-    }
-    infer::HotReloadOptions reload_options;
-    reload_options.directory = stage.dir();
-    reload_options.poll_interval_ms =
-        std::max<int64_t>(5, c.fleet_reload_poll_ms);
-    if (!fleet.AttachReloader(
-            reload_id, server.host(reload_id),
-            [&w, &c, reload_seed] { return BuildServingModel(w, c, reload_seed); },
-            w.scaler, ServingSessionOptions(w, c, true), reload_options,
-            error)) {
-      return false;
-    }
-    fleet.StartReloaders();
+  std::unique_ptr<infer::CheckpointReloader> reloader;
+  if (reloaded != tenants.end()) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("d2stgnn_" + run.scenario + "_" + std::to_string(::getpid()) + "_t" +
+         std::to_string(threads));
+    reloader = StartTwinReloader(
+        w, c, reloaded->seed, /*use_plans=*/true, dir.string(),
+        /*fresh=*/true, run.reload_poll_ms, server.host(reloaded->id), &stage,
+        &reference[reloaded - tenants.begin()], error);
+    if (reloader == nullptr) return false;
   }
 
-  // One open-loop stream per tenant: offered = saturation * tenant.factor.
+  std::vector<std::atomic<int64_t>> sequences(tenants.size());
   std::vector<LoadStream> streams;
-  for (const FleetTenant& tenant : tenants) {
-    LoadStream stream;
-    stream.rate_rps = std::max(1.0, saturation.rps * tenant.factor);
-    stream.submit = [&, id = tenant.id](int64_t seq) {
-      infer::ForecastRequest request =
-          w.ring[static_cast<size_t>(seq) % w.ring.size()];
-      request.deadline_us = deadline_us;
-      return server.Submit(id, std::move(request));
-    };
-    streams.push_back(std::move(stream));
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    out->offered_rps.push_back(
+        std::max(1.0, out->saturation.rps * tenants[t].factor));
+    for (int64_t s = 0; s < tenants[t].streams; ++s) {
+      LoadStream stream;
+      stream.rate_rps =
+          out->offered_rps.back() / static_cast<double>(tenants[t].streams);
+      stream.submit = [&, t](int64_t) {
+        const int64_t seq = sequences[t].fetch_add(1);
+        const int64_t every = tenants[t].low_priority_every;
+        infer::ForecastRequest request =
+            w.ring[static_cast<size_t>(seq) % w.ring.size()];
+        request.deadline_us = deadline_us;
+        if (every > 0 && seq % every == every - 1) {
+          request.priority = infer::RequestPriority::kLow;
+        }
+        return server.Submit(tenants[t].id, std::move(request));
+      };
+      streams.push_back(std::move(stream));
+    }
   }
-  const double window_s = static_cast<double>(c.fleet_window_ms) / 1000.0;
-  infer::OverloadTier max_tier = infer::OverloadTier::kNormal;
+  const double window_s = static_cast<double>(run.window_ms) / 1000.0;
   std::string stage_error;
-  const std::vector<std::vector<LoadSample>> samples = DriveWindows(
-      streams, c.fleet_windows, window_s, [&] { return server.stats().tier; },
-      &stage, &max_tier, &stage_error);
+  OpenLoopOptions options;
+  options.windows = run.windows;
+  options.window_s = window_s;
+  options.on_tick = [&](double elapsed_s) {
+    out->max_tier = std::max(out->max_tier, server.stats().tier);
+    return stage.DropAt(elapsed_s, window_s, &stage_error);
+  };
+  const std::vector<std::vector<LoadSample>> samples =
+      RunOpenLoop(streams, options);
 
-  // The reload must land before the probes (the reloader retries through
+  // The swap must land before the probes (the reloader retries through
   // any injected staging fault).
-  int64_t hot_swaps = 0;
-  if (c.fleet_hot_swap) {
-    const infer::CheckpointReloader& reloader = *fleet.reloader(reload_id);
-    if (stage_error.empty()) stage.WaitForSwap(reloader, &stage_error);
-    hot_swaps = reloader.stats().swaps;
+  if (reloader != nullptr) {
+    if (stage_error.empty()) stage.WaitForSwap(*reloader, &stage_error);
+    out->hot_swaps = reloader->stats().swaps;
   }
   if (!stage_error.empty()) {
-    fleet.StopReloaders();
-    *error = "fleet run: " + stage_error;
+    *error = run.scenario + " run: " + stage_error;
     return false;
   }
-
-  // Bitwise probes, after the backlog drains: every tenant must serve
-  // exactly what its standalone session serves — the reloaded tenant, what
-  // the staged twin serves. Generous retries ride out tier recovery.
-  int64_t bitwise_models = 0;
-  int64_t post_swap_bitwise = c.fleet_hot_swap ? 0 : -1;
-  for (const FleetTenant& tenant : tenants) {
+  // Bitwise probes once the backlog drains (the reloaded lane's reference
+  // is now its twin's); generous retries ride out tier recovery.
+  for (size_t t = 0; t < tenants.size(); ++t) {
     infer::RetryPolicy policy;
     policy.max_attempts = 64;
     policy.initial_backoff_us = 2000;
     policy.max_backoff_us = 50000;
     policy.jitter_seed = c.workload_seed;
     const infer::RetryResult probe =
-        infer::SubmitWithRetry(&server, tenant.id, w.ring[0], policy);
-    const bool reloaded = c.fleet_hot_swap && tenant.id == reload_id;
-    const std::vector<float>& expected =
-        reloaded ? swap_reference : reference[tenant.id];
-    const bool bitwise = probe.forecast.ok && probe.forecast.values == expected;
-    if (bitwise) ++bitwise_models;
-    if (reloaded) post_swap_bitwise = bitwise ? 1 : 0;
+        infer::SubmitWithRetry(&server, tenants[t].id, w.ring[0], policy);
+    const bool bitwise =
+        probe.forecast.ok && probe.forecast.values == reference[t];
+    out->bitwise_models += bitwise ? 1 : 0;
+    if (tenants.begin() + static_cast<ptrdiff_t>(t) == reloaded) {
+      out->post_swap_bitwise = bitwise ? 1 : 0;
+    }
+  }
+  reloader.reset();
+  server.Shutdown();
+  out->stats = server.stats();
+  out->faults_fired = fault::FaultFireCount();
+  for (const auto& [id, model] : out->stats.models) {
+    if (id != run.reload_id) out->others_session_swaps += model.session_swaps;
   }
 
-  fleet.StopReloaders();
-  server.Shutdown();
-  const infer::FleetStats fleet_stats = server.stats();
-  const int64_t faults_fired = fault::FaultFireCount();
+  int64_t completed = 0;
+  for (size_t t = 0, stream = 0; t < tenants.size(); ++t) {
+    std::vector<LoadSample> mine;  // the tenant's streams are consecutive
+    for (int64_t s = 0; s < tenants[t].streams; ++s, ++stream) {
+      mine.insert(mine.end(), samples[stream].begin(), samples[stream].end());
+    }
+    WindowTally total;
+    const std::vector<WindowTally> tallies = TallyWindows(mine, run.windows);
+    for (int64_t i = 0; i < run.windows; ++i) {
+      json::Value record = WindowRecord(
+          run.scenario, threads, c.max_batch_size, window_s, i,
+          tallies[static_cast<size_t>(i)], tenants[t].labels);
+      out->max_window_p99_ms =
+          std::max(out->max_window_p99_ms, record.Get("p99_ms").AsDouble());
+      sink->AddRecord(std::move(record));
+      total += tallies[static_cast<size_t>(i)];
+    }
+    completed += total.completed;
+    out->totals.push_back(std::move(total));
+  }
 
-  // Per-(model, window) trajectory records, plus per-tenant aggregates for
-  // the isolation summaries.
-  WindowTally all, high, hot;
-  double high_p99_ms = 0.0;
+  if (completed == 0) {
+    *error = run.scenario + " run completed zero requests";
+  } else if (out->bitwise_models != static_cast<int64_t>(tenants.size())) {
+    *error = run.scenario + " forecasts diverge from the standalone " +
+             "sessions and staged twins (" +
+             std::to_string(out->bitwise_models) + "/" +
+             std::to_string(tenants.size()) + " tenants bitwise)";
+  } else if (out->others_session_swaps != 0) {
+    *error = "hot reload perturbed other models' sessions (" +
+             std::to_string(out->others_session_swaps) +
+             " unexpected swaps)";
+  }
+  return error->empty();
+}
+
+using Summaries = std::vector<std::pair<std::string, json::Value>>;
+
+/// Writes an open-loop scenario's summary keys in their BENCH order:
+/// saturation_rps, `head`, the reload outcome, `middle`, the chaos and
+/// degrade outcome, `tail`.
+void WriteSummaries(const LoadOutcome& out, size_t faults_armed,
+                    const Summaries& head, const Summaries& middle,
+                    const Summaries& tail, MetricsSink* sink) {
+  using json::Value;
+  Summaries all = {{"saturation_rps", Value::Number(out.saturation.rps)}};
+  all.insert(all.end(), head.begin(), head.end());
+  all.emplace_back("hot_swaps", Value::Int(out.hot_swaps));
+  all.emplace_back("post_swap_bitwise", Value::Int(out.post_swap_bitwise));
+  all.insert(all.end(), middle.begin(), middle.end());
+  all.emplace_back("faults_armed",
+                   Value::Int(static_cast<int64_t>(faults_armed)));
+  all.emplace_back("faults_fired", Value::Int(out.faults_fired));
+  all.emplace_back("max_tier",
+                   Value::Str(infer::OverloadTierName(out.max_tier)));
+  all.emplace_back("degrade_transitions",
+                   Value::Int(out.stats.degrade_transitions));
+  all.insert(all.end(), tail.begin(), tail.end());
+  for (const auto& [key, value] : all) sink->SetSummary(key, value);
+}
+
+/// The overload scenario (DESIGN.md §13): one tenant — the [model] seed —
+/// offered `factor` x saturation over `producers` streams, every Nth
+/// request low priority, behind the [overload] admission gate.
+bool SweepOverload(const ServingConfig& c, const ServingWorkload& w,
+                   int64_t threads, const std::vector<ChaosFault>& faults,
+                   MetricsSink* sink, std::string* error) {
+  FleetTenant tenant;
+  tenant.id = "model";
+  tenant.seed = c.model_seed;
+  tenant.factor = c.overload_factor;
+  tenant.streams = std::max<int64_t>(1, c.producers);
+  tenant.low_priority_every = c.low_priority_every;
+  LoadRun run{"overload", {tenant}, {}, c.overload_windows, c.window_ms,
+              c.deadline_ms, c.hot_swap ? tenant.id : "",
+              std::max<int64_t>(10, c.window_ms / 10)};
+  run.fleet.max_queue_depth = c.max_queue_depth;
+  run.fleet.admission.rate_rps = c.overload_rate_rps;
+  run.fleet.admission.shed_latency_us = c.shed_latency_ms * 1000;
+  LoadOutcome out;
+  if (!RunOpenLoopScenario(c, w, threads, run, faults, sink, &out, error)) {
+    return false;
+  }
+  using json::Value;
+  const WindowTally& total = out.totals.front();
+  WriteSummaries(
+      out, faults.size(),
+      {{"offered_rps", Value::Number(out.offered_rps.front())},
+       {"overload_shed_rate", Value::Number(total.Share(total.shed))},
+       {"overload_deadline_miss_rate",
+        Value::Number(total.Share(total.expired))},
+       {"overload_completed", Value::Int(total.completed)},
+       {"overload_max_p99_ms", Value::Number(out.max_window_p99_ms)}},
+      {}, {{"session_swaps", Value::Int(out.stats.session_swaps)}}, sink);
+  return true;
+}
+
+/// The multi-city fleet scenario (DESIGN.md §14): every [fleet] tenant, one
+/// stream each — the healthy ones well under saturation, the hot one past
+/// it — while one model hot-reloads. The isolation summaries the baseline
+/// gates: the best-priority healthy ("high") tenants ride out the hot
+/// tenant's overload, and the reload touches one lane.
+bool SweepFleet(const ServingConfig& c, const ServingWorkload& w,
+                int64_t threads, const std::vector<ChaosFault>& faults,
+                MetricsSink* sink, std::string* error) {
+  std::vector<FleetTenant> tenants;
+  if (!ParseFleetTenants(c, &tenants, error)) return false;
+  const std::string reload_id =
+      c.fleet_reload_model.empty() ? tenants.front().id : c.fleet_reload_model;
+  LoadRun run{"fleet", tenants, {}, c.fleet_windows, c.fleet_window_ms,
+              c.fleet_deadline_ms, c.fleet_hot_swap ? reload_id : "",
+              std::max<int64_t>(5, c.fleet_reload_poll_ms)};
+  run.fleet.max_queue_depth = c.max_queue_depth;
+  LoadOutcome out;
+  if (!RunOpenLoopScenario(c, w, threads, run, faults, sink, &out, error)) {
+    return false;
+  }
   int64_t best_priority = tenants.front().slo.priority;
   for (const FleetTenant& tenant : tenants) {
     best_priority = std::min(best_priority, tenant.slo.priority);
   }
+  WindowTally all, high, hot;
+  double high_p99_ms = 0.0;
   for (size_t t = 0; t < tenants.size(); ++t) {
-    const FleetTenant& tenant = tenants[t];
-    json::Value labels = json::Value::Object();
-    labels.Set("model", json::Value::Str(tenant.id));
-    labels.Set("slo", json::Value::Str(tenant.slo.name));
-    labels.Set("priority", json::Value::Int(tenant.slo.priority));
-    WindowTally tenant_total;
-    const std::vector<WindowTally> tallies =
-        TallyWindows(samples[t], c.fleet_windows);
-    for (int64_t i = 0; i < c.fleet_windows; ++i) {
-      const WindowTally& tally = tallies[static_cast<size_t>(i)];
-      tenant_total += tally;
-      sink->AddRecord(WindowRecord("fleet", threads, c.max_batch_size,
-                                   window_s, i, tally, labels));
-    }
-    all += tenant_total;
-    if (tenant.hot) {
-      hot += tenant_total;
-    } else if (tenant.slo.priority == best_priority) {
-      high += tenant_total;
-      high_p99_ms =
-          std::max(high_p99_ms,
-                   metrics::SummarizeLatencies(tenant_total.latencies_ms).p99);
+    all += out.totals[t];
+    if (tenants[t].hot) {
+      hot += out.totals[t];
+    } else if (tenants[t].slo.priority == best_priority) {
+      high += out.totals[t];
+      high_p99_ms = std::max(
+          high_p99_ms,
+          metrics::SummarizeLatencies(out.totals[t].latencies_ms).p99);
     }
   }
-
-  // Isolation summaries. "high" covers the healthy best-priority tenants;
-  // "hot" is the past-saturation one. The reload must touch exactly one
-  // lane: every other model's session_swaps stays zero.
-  int64_t others_session_swaps = 0;
   int64_t rejected_quota = 0;
-  for (const auto& [id, model_stats] : fleet_stats.models) {
-    rejected_quota += model_stats.rejected_quota;
-    if (!(c.fleet_hot_swap && id == reload_id)) {
-      others_session_swaps += model_stats.session_swaps;
-    }
+  for (const auto& [id, model] : out.stats.models) {
+    rejected_quota += model.rejected_quota;
   }
-  sink->SetSummary("saturation_rps", json::Value::Number(saturation.rps));
-  sink->SetSummary("fleet_models",
-                   json::Value::Int(static_cast<int64_t>(tenants.size())));
-  sink->SetSummary("fleet_completed", json::Value::Int(all.completed));
-  sink->SetSummary("fleet_high_shed_rate",
-                   json::Value::Number(high.Share(high.shed)));
-  sink->SetSummary("fleet_high_deadline_miss_rate",
-                   json::Value::Number(high.Share(high.expired)));
-  sink->SetSummary("fleet_high_p99_ms", json::Value::Number(high_p99_ms));
-  sink->SetSummary("fleet_hot_shed_rate",
-                   json::Value::Number(hot.Share(hot.shed)));
-  sink->SetSummary("rejected_quota", json::Value::Int(rejected_quota));
-  sink->SetSummary("hot_swaps", json::Value::Int(hot_swaps));
-  sink->SetSummary("post_swap_bitwise", json::Value::Int(post_swap_bitwise));
-  sink->SetSummary("bitwise_models", json::Value::Int(bitwise_models));
-  sink->SetSummary("others_session_swaps",
-                   json::Value::Int(others_session_swaps));
-  sink->SetSummary("faults_armed", json::Value::Int(static_cast<int64_t>(
-                                       c.chaos_faults.size())));
-  sink->SetSummary("faults_fired", json::Value::Int(faults_fired));
-  sink->SetSummary("max_tier",
-                   json::Value::Str(infer::OverloadTierName(max_tier)));
-  sink->SetSummary("degrade_transitions",
-                   json::Value::Int(fleet_stats.degrade_transitions));
-
-  if (all.completed == 0) {
-    *error = "fleet run completed zero requests";
-    return false;
-  }
-  if (c.fleet_hot_swap && post_swap_bitwise != 1) {
-    *error = "post-swap fleet forecast is not bitwise the staged twin";
-    return false;
-  }
-  if (bitwise_models != static_cast<int64_t>(tenants.size())) {
-    *error = "fleet forecasts diverge from the standalone sessions (" +
-             std::to_string(bitwise_models) + "/" +
-             std::to_string(tenants.size()) + " bitwise)";
-    return false;
-  }
-  if (others_session_swaps != 0) {
-    *error = "hot reload perturbed other models' sessions (" +
-             std::to_string(others_session_swaps) + " unexpected swaps)";
-    return false;
-  }
+  using json::Value;
+  WriteSummaries(
+      out, faults.size(),
+      {{"fleet_models", Value::Int(static_cast<int64_t>(tenants.size()))},
+       {"fleet_completed", Value::Int(all.completed)},
+       {"fleet_high_shed_rate", Value::Number(high.Share(high.shed))},
+       {"fleet_high_deadline_miss_rate",
+        Value::Number(high.Share(high.expired))},
+       {"fleet_high_p99_ms", Value::Number(high_p99_ms)},
+       {"fleet_hot_shed_rate", Value::Number(hot.Share(hot.shed))},
+       {"rejected_quota", Value::Int(rejected_quota)}},
+      {{"bitwise_models", Value::Int(out.bitwise_models)},
+       {"others_session_swaps", Value::Int(out.others_session_swaps)}},
+      {}, sink);
   return true;
 }
 
@@ -775,7 +689,11 @@ ServingConfig ParseServingConfig(const Spec& spec) {
 
 bool ExpandServing(const ServingConfig& config,
                    std::vector<std::string>* cells, std::string* error) {
-  if (!CheckServingRanges(config, error)) return false;
+  std::vector<ChaosFault> faults;
+  if (!CheckServingRanges(config, error) ||
+      !ParseChaosFaults(config.chaos_faults, &faults, error)) {
+    return false;
+  }
   if (config.scenarios.empty()) {
     *error = "[serving] scenarios lists no scenarios";
     return false;
@@ -891,16 +809,27 @@ bool AddFleetTenants(const ServingWorkload& w, const ServingConfig& config,
   return true;
 }
 
-bool StageTwin(const ServingWorkload& w, const ServingConfig& config,
-               uint64_t seed, const std::string& dir, bool fresh,
-               CheckpointStage* stage, std::vector<float>* reference,
-               std::string* error) {
+std::unique_ptr<infer::CheckpointReloader> StartTwinReloader(
+    const ServingWorkload& w, const ServingConfig& config, uint64_t seed,
+    bool use_plans, const std::string& dir, bool fresh, int64_t poll_ms,
+    infer::SessionHost* host, CheckpointStage* stage,
+    std::vector<float>* reference, std::string* error) {
   if (reference != nullptr &&
       !ReferenceForecast(w, config, seed + 1, reference, error)) {
-    return false;
+    return nullptr;
   }
-  return stage->Open(dir, fresh, BuildServingModel(w, config, seed + 1),
-                     error);
+  if (!stage->Open(dir, fresh, BuildServingModel(w, config, seed + 1),
+                   error)) {
+    return nullptr;
+  }
+  infer::HotReloadOptions options;
+  options.directory = stage->dir();
+  options.poll_interval_ms = poll_ms;
+  auto reloader = std::make_unique<infer::CheckpointReloader>(
+      host, [&w, &config, seed] { return BuildServingModel(w, config, seed); },
+      w.scaler, ServingSessionOptions(w, config, use_plans), options);
+  reloader->Start();
+  return reloader;
 }
 
 bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
@@ -939,6 +868,9 @@ bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
     // (seed + 1) can never collide with another tenant's seed.
     tenant.seed = c.model_seed + 16 * (static_cast<uint64_t>(out->size()) + 1);
     tenant.factor = c.fleet_healthy_factor;
+    tenant.labels.Set("model", json::Value::Str(tenant.id));
+    tenant.labels.Set("slo", json::Value::Str(tenant.slo.name));
+    tenant.labels.Set("priority", json::Value::Int(tenant.slo.priority));
     out->push_back(tenant);
   }
   if (out->empty()) {
@@ -968,7 +900,11 @@ bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
 bool RunServing(const ServingConfig& config, MetricsSink* sink,
                 std::string* error) {
   std::vector<std::string> backends;
-  if (!ResolveServingBackends(config, &backends, error)) return false;
+  std::vector<ChaosFault> faults;
+  if (!ResolveServingBackends(config, &backends, error) ||
+      !ParseChaosFaults(config.chaos_faults, &faults, error)) {
+    return false;
+  }
   const ServingWorkload w = BuildServingWorkload(config);
 
   double eager_p50 = 0.0;
@@ -1002,9 +938,9 @@ bool RunServing(const ServingConfig& config, MetricsSink* sink,
           ok = SweepServer(plan_session.get(), config, w, threads, sink,
                            error);
         } else if (scenario == "overload") {
-          ok = SweepOverload(config, w, threads, sink, error);
+          ok = SweepOverload(config, w, threads, faults, sink, error);
         } else if (scenario == "fleet") {
-          ok = SweepFleet(config, w, threads, sink, error);
+          ok = SweepFleet(config, w, threads, faults, sink, error);
         } else {  // parity
           ok = SweepParity(plan_session.get(), eager_session.get(), config,
                            w, threads, sink, &eager_p50, &plan_p50, error);

@@ -6,19 +6,22 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "data/scaler.h"
 #include "data/synthetic_traffic.h"
 #include "experiment/load_driver.h"
 #include "experiment/metrics_sink.h"
 #include "experiment/spec.h"
 #include "infer/fleet/fleet.h"
+#include "infer/hot_reload.h"
 #include "infer/session.h"
+#include "infer/session_host.h"
 #include "train/forecasting_model.h"
 
 // kind = serving: the bench_inference protocol behind scenario names
-// (DESIGN.md §11). The workload, model and session builders and the fleet
-// tenant parser are public so examples/serve_forecasts serves exactly what
-// the scenarios serve.
+// (DESIGN.md §11). The workload, model and session builders, the fleet
+// tenant parser and the hot-reload helper are public so
+// examples/serve_forecasts serves and reloads exactly what the scenarios do.
 
 namespace d2stgnn::experiment {
 
@@ -109,30 +112,45 @@ infer::SessionOptions ServingSessionOptions(const ServingWorkload& w,
 std::unique_ptr<infer::InferenceSession> BuildServingSession(
     const ServingWorkload& w, const ServingConfig& config, bool use_plans);
 
-/// Opens `stage` on `dir` with the hot-reload twin of weights `seed` (the
-/// twin is drawn from seed + 1). When `reference` is non-null it receives
-/// the twin's forecast for ring[0], the bitwise post-swap expectation.
-bool StageTwin(const ServingWorkload& w, const ServingConfig& config,
-               uint64_t seed, const std::string& dir, bool fresh,
-               CheckpointStage* stage, std::vector<float>* reference,
-               std::string* error);
+/// Hot reload, attached the one way every caller uses: opens `stage` on
+/// `dir` (`fresh` as in CheckpointStage::Open) with the twin of weights
+/// `seed` — drawn from seed + 1 — and returns a started CheckpointReloader
+/// that polls it every `poll_ms` and swaps sessions over the twin
+/// (plan-backed when `use_plans`) into `host`. When `reference` is non-null
+/// it receives the twin's forecast for ring[0], the bitwise post-swap
+/// expectation. Null, with `*error` set, when staging fails. `w` and
+/// `config` must outlive the reloader.
+std::unique_ptr<infer::CheckpointReloader> StartTwinReloader(
+    const ServingWorkload& w, const ServingConfig& config, uint64_t seed,
+    bool use_plans, const std::string& dir, bool fresh, int64_t poll_ms,
+    infer::SessionHost* host, CheckpointStage* stage,
+    std::vector<float>* reference, std::string* error);
 
-/// One tenant of the fleet scenario: a model id, its resolved SLO class,
-/// the seed its weights are drawn from (the hot-reload twin is seed + 1),
-/// and its offered load as a multiple of the measured saturation rate
-/// (the past-saturation tenant is `hot`).
+/// One tenant of an open-loop serving run (the overload scenario serves
+/// one, the fleet scenario one per [fleet] models entry): a model id, its
+/// resolved SLO class, the seed its weights are drawn from (the hot-reload
+/// twin is seed + 1), and its offered load as a multiple of the measured
+/// saturation rate (the fleet's past-saturation tenant is `hot`).
 struct FleetTenant {
   std::string id;
   infer::SloClass slo;
   uint64_t seed = 0;
   double factor = 0.0;
   bool hot = false;
+  /// Open-loop streams offering that load; they share one request
+  /// sequence, of which every `low_priority_every`-th request is kLow (0:
+  /// none).
+  int64_t streams = 1;
+  int64_t low_priority_every = 0;
+  /// Columns the tenant's trajectory records carry (fleet tenants: model,
+  /// slo, priority).
+  json::Value labels = json::Value::Object();
 };
 
 /// Parses the [fleet] models list ("id" or "id:slo" entries, surrounding
 /// blanks trimmed, blank entries skipped; SLO names are the built-in
-/// gold/silver/bronze tiers) and marks the hot tenant. Runs at expansion
-/// time too, so --dry-run refuses a bad tenant list.
+/// gold/silver/bronze tiers), labels each tenant and marks the hot one.
+/// Runs at expansion time too, so --dry-run refuses a bad tenant list.
 bool ParseFleetTenants(const ServingConfig& c, std::vector<FleetTenant>* out,
                        std::string* error);
 

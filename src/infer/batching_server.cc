@@ -1,5 +1,6 @@
 #include "infer/batching_server.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -13,15 +14,17 @@ namespace {
 /// model id out of its messages).
 const char* const kLane = "model";
 
-/// Registers the one lane and returns `fleet`, ready for the FleetServer.
-ModelFleet* AddOnlyLane(ModelFleet* fleet,
-                        std::shared_ptr<InferenceSession> session,
-                        const BatchingOptions& options) {
+/// A fleet registering only the one lane. The FleetServer copies it at
+/// construction, so it is dropped right after, and with it the fleet's
+/// hold on the boot session (a hot swap then releases that session).
+std::unique_ptr<ModelFleet> OnlyLane(std::shared_ptr<InferenceSession> session,
+                                     const BatchingOptions& options) {
   FleetModelOptions lane;
   lane.model_id = kLane;
   lane.max_batch_size = options.max_batch_size;
   lane.max_wait_us = options.max_wait_us;
   lane.warmup = options.warmup;
+  auto fleet = std::make_unique<ModelFleet>();
   std::string error;
   D2_CHECK(fleet->AddModel(std::move(session), lane, &error)) << error;
   return fleet;
@@ -41,7 +44,7 @@ FleetOptions SharedOptions(const BatchingOptions& options) {
 BatchingServer::BatchingServer(std::shared_ptr<InferenceSession> session,
                                const BatchingOptions& options)
     : options_(options),
-      server_(AddOnlyLane(&fleet_, std::move(session), options),
+      server_(OnlyLane(std::move(session), options).get(),
               SharedOptions(options)) {}
 
 BatchingServer::BatchingServer(InferenceSession* session,

@@ -22,12 +22,12 @@
 // max_wait_us (timeout flush), so sparse traffic is never stalled.
 //
 // A BatchingServer is a facade over the serving stack's one dispatcher: it
-// owns a one-model ModelFleet and a FleetServer and forwards every call to
-// that single lane. Admission (bounded queue, rate limit, latency shed),
-// deadlines, degrade tiers, hot reload and graceful shutdown therefore
-// behave exactly as in a fleet (infer/fleet/fleet_server.h); with one lane
-// the fleet's quota equals the whole queue, so kQueueFull always fires
-// first and no request is ever refused as kQuotaExceeded.
+// owns a FleetServer built from a one-model ModelFleet and forwards every
+// call to that single lane. Admission (bounded queue, rate limit, latency
+// shed), deadlines, degrade tiers, hot reload and graceful shutdown
+// therefore behave exactly as in a fleet (infer/fleet/fleet_server.h);
+// with one lane the fleet's quota equals the whole queue, so kQueueFull
+// always fires first and no request is ever refused as kQuotaExceeded.
 //
 // Shutdown is graceful: every accepted request's future is resolved — with
 // its prediction when draining (the default), with ok=false / kCancelled
@@ -117,8 +117,7 @@ class BatchingServer : public SessionHost {
 
  private:
   BatchingOptions options_;
-  ModelFleet fleet_;
-  FleetServer server_;  ///< built after fleet_ holds the one lane
+  FleetServer server_;
 };
 
 }  // namespace d2stgnn::infer

@@ -129,105 +129,24 @@ bool ModelFleet::AddModel(std::shared_ptr<InferenceSession> session,
     return fail("fleet: queue_share must be in [0, 1] for model '" +
                 options.model_id + "'");
   }
-  std::lock_guard<std::mutex> lock(mu_);
   if (entries_.find(options.model_id) != entries_.end()) {
     return fail("fleet: duplicate model_id '" + options.model_id + "'");
   }
-  Entry entry;
-  entry.options = options;
-  entry.session = std::move(session);
-  entries_.emplace(options.model_id, std::move(entry));
+  entries_.emplace(options.model_id, Entry{options, std::move(session)});
   ids_.push_back(options.model_id);
   return true;
 }
 
-std::vector<std::string> ModelFleet::model_ids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ids_;
-}
-
-size_t ModelFleet::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 std::shared_ptr<InferenceSession> ModelFleet::session(
     const std::string& model_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(model_id);
   return it == entries_.end() ? nullptr : it->second.session;
 }
 
 const FleetModelOptions* ModelFleet::model_options(
     const std::string& model_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(model_id);
   return it == entries_.end() ? nullptr : &it->second.options;
-}
-
-void ModelFleet::SetSession(const std::string& model_id,
-                            std::shared_ptr<InferenceSession> session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(model_id);
-  if (it != entries_.end() && session != nullptr) {
-    it->second.session = std::move(session);
-  }
-}
-
-bool ModelFleet::AttachReloader(const std::string& model_id, SessionHost* host,
-                                ModelFactory factory,
-                                const data::StandardScaler& scaler,
-                                const SessionOptions& session_options,
-                                const HotReloadOptions& options,
-                                std::string* error) {
-  const auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (host == nullptr) return fail("fleet: null host");
-  if (factory == nullptr) return fail("fleet: null model factory");
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(model_id);
-  if (it == entries_.end()) {
-    return fail("fleet: unknown model_id '" + model_id + "'");
-  }
-  if (it->second.reloader != nullptr) {
-    return fail("fleet: model '" + model_id + "' already has a reloader");
-  }
-  it->second.reloader = std::make_unique<CheckpointReloader>(
-      host, std::move(factory), scaler, session_options, options);
-  return true;
-}
-
-CheckpointReloader* ModelFleet::reloader(const std::string& model_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(model_id);
-  return it == entries_.end() ? nullptr : it->second.reloader.get();
-}
-
-void ModelFleet::StartReloaders() {
-  // Start/Stop run outside mu_: a watcher mid-swap re-enters the fleet via
-  // SetSession, so joining it under mu_ (Stop) would deadlock. The pointers
-  // are stable — entries are never removed.
-  std::vector<CheckpointReloader*> reloaders;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, entry] : entries_) {
-      if (entry.reloader != nullptr) reloaders.push_back(entry.reloader.get());
-    }
-  }
-  for (CheckpointReloader* reloader : reloaders) reloader->Start();
-}
-
-void ModelFleet::StopReloaders() {
-  std::vector<CheckpointReloader*> reloaders;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, entry] : entries_) {
-      if (entry.reloader != nullptr) reloaders.push_back(entry.reloader.get());
-    }
-  }
-  for (CheckpointReloader* reloader : reloaders) reloader->Stop();
 }
 
 }  // namespace d2stgnn::infer

@@ -4,24 +4,20 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "data/scaler.h"
-#include "infer/hot_reload.h"
 #include "infer/overload.h"
 #include "infer/session.h"
-#include "infer/session_host.h"
 
 // Multi-model fleet registry and arbitration policy (DESIGN.md §14).
 //
 // One serving process hosts many city models — the paper's four dataset
 // presets plus synthetic cities — behind a single shared queue bound. Each
 // model keeps its own InferenceSession (and therefore its own plan cache:
-// plans are shape- and weight-specialized, so a batch never mixes models)
-// and its own CheckpointReloader. What the models *share* is capacity, and
-// sharing capacity fairly under overload is the point of this header:
+// plans are shape- and weight-specialized, so a batch never mixes models).
+// What the models *share* is capacity, and sharing capacity fairly under
+// overload is the point of this header:
 //
 //   * SloClass — a named serving tier (gold/silver/bronze): a strict
 //     dispatch priority, a target p99 that tightens the flush timer, and a
@@ -30,10 +26,13 @@
 //     admission quotas that arm once the shared queue passes a watermark,
 //     and a (priority, weighted-fair virtual time) pick among dispatch-
 //     ready models. No clocks, no threads — unit-testable in isolation.
-//   * ModelFleet — the registry owning per-model configuration, the live
-//     session handle, and the per-model reloader.
+//   * ModelFleet — the validated registration list: each model's options
+//     and the session it was registered with.
 //
-// The FleetServer (fleet_server.h) wires these to real queues and threads.
+// The FleetServer (fleet_server.h) reads the registry once and wires it to
+// real queues and threads; from then on FleetServer::session() is the live
+// view, and hot reload attaches to FleetServer::host() (a
+// CheckpointReloader per reloaded model, owned by the caller).
 
 namespace d2stgnn::infer {
 
@@ -133,10 +132,10 @@ class FleetArbiter {
   std::map<std::string, Lane> lanes_;
 };
 
-/// The registry: per-model options, the live session, and the reloader.
-/// Thread-safe. Register every model (AddModel) before constructing the
-/// FleetServer — the server snapshots the membership once; reloaders may
-/// be attached and started at any point after the server exists.
+/// The registration list: per-model options and sessions, validated on
+/// AddModel. Register every model before constructing the FleetServer,
+/// which copies the list once; the fleet is not synchronized, so it must
+/// not be modified while another thread reads it.
 class ModelFleet {
  public:
   ModelFleet() = default;
@@ -149,46 +148,24 @@ class ModelFleet {
                 const FleetModelOptions& options, std::string* error = nullptr);
 
   /// Registered model ids, in registration order.
-  std::vector<std::string> model_ids() const;
-  size_t size() const;
+  std::vector<std::string> model_ids() const { return ids_; }
+  size_t size() const { return ids_.size(); }
 
-  /// The live session for `model_id` (kept current across hot swaps by the
-  /// FleetServer); nullptr for unknown ids.
+  /// The session `model_id` was registered with, as registered: hot swaps
+  /// do not update it (FleetServer::session is the live view). nullptr for
+  /// unknown ids.
   std::shared_ptr<InferenceSession> session(const std::string& model_id) const;
 
   /// Registered options; nullptr for unknown ids. The pointer stays valid
   /// for the fleet's lifetime (entries are never removed).
   const FleetModelOptions* model_options(const std::string& model_id) const;
 
-  /// Records a hot swap. Called by the FleetServer; not for general use.
-  void SetSession(const std::string& model_id,
-                  std::shared_ptr<InferenceSession> session);
-
-  /// Creates this model's CheckpointReloader, watching
-  /// `options.directory` and swapping into `host` (usually
-  /// FleetServer::host(model_id)). One reloader per model; false on an
-  /// unknown id or an already-attached reloader.
-  bool AttachReloader(const std::string& model_id, SessionHost* host,
-                      ModelFactory factory, const data::StandardScaler& scaler,
-                      const SessionOptions& session_options,
-                      const HotReloadOptions& options,
-                      std::string* error = nullptr);
-
-  /// The model's reloader (nullptr when none attached).
-  CheckpointReloader* reloader(const std::string& model_id) const;
-
-  /// Starts / stops every attached reloader's watcher thread.
-  void StartReloaders();
-  void StopReloaders();
-
  private:
   struct Entry {
     FleetModelOptions options;
     std::shared_ptr<InferenceSession> session;
-    std::unique_ptr<CheckpointReloader> reloader;
   };
 
-  mutable std::mutex mu_;
   std::vector<std::string> ids_;
   std::map<std::string, Entry> entries_;
 };

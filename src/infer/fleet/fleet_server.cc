@@ -50,22 +50,21 @@ Forecast DeadlineMiss() {
 
 }  // namespace
 
-FleetServer::FleetServer(ModelFleet* fleet, const FleetOptions& options)
+FleetServer::FleetServer(const ModelFleet* fleet, const FleetOptions& options)
     : options_(options),
-      fleet_(fleet),
       clock_(ClockOrReal(options.clock)),
       arbiter_(options.max_queue_depth, options.arbitration_watermark),
       shared_admission_(options.admission, options.clock),
       governor_(options.degrade) {
-  D2_CHECK(fleet_ != nullptr);
-  D2_CHECK_GT(fleet_->size(), 0u);
+  D2_CHECK(fleet != nullptr);
+  D2_CHECK_GT(fleet->size(), 0u);
   D2_CHECK_GT(options_.degraded_wait_divisor, 0);
 
-  ids_ = fleet_->model_ids();
+  ids_ = fleet->model_ids();
   int64_t min_priority = std::numeric_limits<int64_t>::max();
   int64_t max_priority = std::numeric_limits<int64_t>::min();
   for (const std::string& id : ids_) {
-    const FleetModelOptions* model_options = fleet_->model_options(id);
+    const FleetModelOptions* model_options = fleet->model_options(id);
     D2_CHECK(model_options != nullptr);
     auto lane = std::make_unique<Lane>();
     lane->options = *model_options;
@@ -76,11 +75,12 @@ FleetServer::FleetServer(ModelFleet* fleet, const FleetOptions& options)
       lane->base_wait_us = std::min(lane->base_wait_us,
                                     model_options->slo.target_p99_ms * 125);
     }
-    lane->session = fleet_->session(id);
+    lane->session = fleet->session(id);
     D2_CHECK(lane->session != nullptr);
     lane->admission = std::make_unique<AdmissionController>(
         model_options->admission, options_.clock);
-    lane->host.Bind(this, id, model_options->max_batch_size);
+    lane->host.server = this;
+    lane->host.lane = &lane->options;
     if (model_options->warmup) {
       lane->plan_cap = WarmLane(*lane, lane->session.get());
     }
@@ -474,15 +474,13 @@ void FleetServer::SwapSession(const std::string& model_id,
   // through — its sizes already have plans).
   int64_t cap = 0;
   if (lane.options.warmup) cap = WarmLane(lane, next.get());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    lane.session = next;
-    lane.plan_cap = cap;
-    ++lane.stats.session_swaps;
-  }
-  // Keep the registry's view current (outside mu_; the fleet has its own
-  // lock and never calls back into the server).
-  fleet_->SetSession(model_id, std::move(next));
+  // The retired session is released after mu_ (unless a batch in flight
+  // still pins it), so tearing it down never stalls the dispatcher.
+  std::shared_ptr<InferenceSession> retired;
+  std::lock_guard<std::mutex> lock(mu_);
+  retired = std::exchange(lane.session, std::move(next));
+  lane.plan_cap = cap;
+  ++lane.stats.session_swaps;
 }
 
 std::shared_ptr<InferenceSession> FleetServer::session(

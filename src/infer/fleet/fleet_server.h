@@ -44,9 +44,9 @@
 // ready lanes by strict SLO priority, then weighted-fair virtual time.
 //
 // Hot reload: host(model_id) exposes a per-model SessionHost, so one
-// CheckpointReloader per model stages and swaps into its own lane. A swap
-// touches only that lane; in-flight batches pin the session they started
-// with.
+// CheckpointReloader per model (owned by the caller) stages and swaps into
+// its own lane. A swap touches only that lane; in-flight batches pin the
+// session they started with.
 //
 // This is the serving stack's only request dispatcher: a BatchingServer
 // (infer/batching_server.h) is a facade over a one-lane FleetServer. With
@@ -129,10 +129,10 @@ struct FleetStats {
 /// One dispatcher thread serving every model registered in a ModelFleet.
 class FleetServer {
  public:
-  /// Snapshots `fleet`'s membership (register every model first) and
-  /// starts the dispatcher. The fleet must outlive the server; live
-  /// sessions are kept in sync with the fleet registry across swaps.
-  FleetServer(ModelFleet* fleet, const FleetOptions& options);
+  /// Copies `fleet`'s registrations (register every model first) and
+  /// starts the dispatcher. The server keeps no reference to the fleet;
+  /// session() is the live view across swaps.
+  FleetServer(const ModelFleet* fleet, const FleetOptions& options);
 
   /// Graceful drain-and-join (Shutdown(true)).
   ~FleetServer();
@@ -180,23 +180,13 @@ class FleetServer {
   };
 
   /// Adapts one lane to the SessionHost interface for CheckpointReloader.
-  class LaneHost : public SessionHost {
-   public:
-    LaneHost() = default;
-    void Bind(FleetServer* server, std::string model_id, int64_t batch_size) {
-      server_ = server;
-      model_id_ = std::move(model_id);
-      max_batch_size_ = batch_size;
-    }
+  struct LaneHost : SessionHost {
+    FleetServer* server = nullptr;
+    const FleetModelOptions* lane = nullptr;
     void SwapSession(std::shared_ptr<InferenceSession> next) override {
-      server_->SwapSession(model_id_, std::move(next));
+      server->SwapSession(lane->model_id, std::move(next));
     }
-    int64_t max_batch_size() const override { return max_batch_size_; }
-
-   private:
-    FleetServer* server_ = nullptr;
-    std::string model_id_;
-    int64_t max_batch_size_ = 0;
+    int64_t max_batch_size() const override { return lane->max_batch_size; }
   };
 
   struct Lane {
@@ -230,7 +220,6 @@ class FleetServer {
   void CountRejectLocked(Lane* lane, RejectReason reason);
 
   FleetOptions options_;
-  ModelFleet* fleet_;
   Clock* clock_;
   /// The lowest-ranked SLO priority in the fleet: at tier kShedding these
   /// models' requests are refused alongside low-priority requests — but

@@ -3,8 +3,9 @@
 // ill-typed keys), the JSON value type beneath the sinks and gates, the
 // registry of named axes (every listed model must resolve and build), the
 // MetricsSink schema, the RegressionGate's pass/fail/diff behavior, matrix
-// expansion counts and range checks, the fleet tenant parser, and small
-// end-to-end RunSpecs.
+// expansion counts and range checks, the fleet tenant parser, small
+// end-to-end RunSpecs, and the checked-in overload and fleet smoke specs run
+// to completion against their baselines.
 
 #include <gtest/gtest.h>
 
@@ -575,6 +576,133 @@ TEST(RunnerTest, OverloadAndChaosKeysAreConsumedByDryRun) {
   const RunResult bad = RunSpec(typo, options);
   EXPECT_FALSE(bad.ok);
   EXPECT_NE(bad.error.find("factar"), std::string::npos) << bad.error;
+}
+
+TEST(RunnerTest, ChaosFaultEntriesAreValidatedAtExpansion) {
+  // A junk, empty, negative or padded offset, or an empty point name, is
+  // refused at expansion (so --dry-run catches it), naming the entry.
+  const std::string head =
+      "[experiment]\nname = m\nkind = serving\n"
+      "[serving]\nscenarios = overload\nthreads = 1\n[chaos]\nfaults = ";
+  for (const std::string entry :
+       {"server.admit@abc", "@5", "server.deadline@-3", "server.admit@",
+        "server.admit@2x", "server.admit@ 2"}) {
+    std::vector<std::string> cells;
+    std::string error;
+    EXPECT_FALSE(ExpandMatrix(ParseSpec(head + "server.degrade@1, " + entry +
+                                        "\n"),
+                              &cells, &error))
+        << entry;
+    EXPECT_NE(error.find("[chaos] faults"), std::string::npos) << error;
+    EXPECT_NE(error.find("'" + entry + "'"), std::string::npos) << error;
+  }
+  std::vector<std::string> cells;
+  std::string error;
+  EXPECT_TRUE(ExpandMatrix(ParseSpec(head +
+                                     "server.admit, server.deadline@0, "
+                                     "infer.hot_reload@12\n"),
+                           &cells, &error))
+      << error;
+}
+
+/// Runs the checked-in `specs/<spec>.spec` gated on its checked-in
+/// `bench/baselines/<baseline>.json`, and returns the written document.
+json::Value RunCheckedInSpec(const std::string& spec_name,
+                             const std::string& baseline_name) {
+  const std::string root = D2STGNN_SOURCE_DIR;
+  Spec spec;
+  std::string error;
+  EXPECT_TRUE(
+      Spec::ParseFile(root + "/specs/" + spec_name + ".spec", &spec, &error))
+      << error;
+  RunOptions options;
+  options.out_dir = testing::TempDir();
+  options.baseline_path = root + "/bench/baselines/" + baseline_name + ".json";
+  const RunResult result = RunSpec(spec, options);
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_FALSE(result.gate_report.empty());
+  json::Value doc;
+  EXPECT_TRUE(json::Value::ParseFile(result.json_path, &doc, &error))
+      << error;
+  std::remove(result.json_path.c_str());
+  return doc;
+}
+
+std::vector<std::string> Keys(const json::Value& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.items()) keys.push_back(key);
+  return keys;
+}
+
+/// The per-window trajectory columns shared by the open-loop scenarios;
+/// `labels` land between the offered-load columns and the window columns.
+std::vector<std::string> WindowRecordKeys(
+    const std::vector<std::string>& labels) {
+  std::vector<std::string> keys = {
+      "scenario", "mode",   "backend", "threads", "batch_size",
+      "requests", "p50_ms", "p95_ms",  "p99_ms",  "mean_ms",
+      "max_ms",   "throughput_rps"};
+  keys.insert(keys.end(), labels.begin(), labels.end());
+  for (const char* key : {"window", "completed", "shed", "expired",
+                          "shed_rate", "deadline_miss_rate"}) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(RunnerTest, SmokeOverloadSpecPassesItsGateWithTheDocumentedShape) {
+  const json::Value doc = RunCheckedInSpec("smoke_overload", "overload_smoke");
+  const json::Value& records = doc.Get("records");
+  ASSERT_EQ(records.size(), 3u);  // [overload] windows = 3
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(Keys(records.at(i)), WindowRecordKeys({}));
+    EXPECT_EQ(records.at(i).Get("window").AsInt(-1), static_cast<int64_t>(i));
+  }
+  const std::vector<std::string> summary = {
+      "saturation_rps",
+      "offered_rps",
+      "overload_shed_rate",
+      "overload_deadline_miss_rate",
+      "overload_completed",
+      "overload_max_p99_ms",
+      "hot_swaps",
+      "post_swap_bitwise",
+      "faults_armed",
+      "faults_fired",
+      "max_tier",
+      "degrade_transitions",
+      "session_swaps"};
+  EXPECT_EQ(Keys(doc.Get("summary")), summary);
+}
+
+TEST(RunnerTest, SmokeFleetSpecPassesItsGateWithTheDocumentedShape) {
+  const json::Value doc = RunCheckedInSpec("smoke_fleet", "fleet_smoke");
+  const json::Value& records = doc.Get("records");
+  ASSERT_EQ(records.size(), 6u);  // 2 tenants x [fleet] windows = 3
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(Keys(records.at(i)),
+              WindowRecordKeys({"model", "slo", "priority"}));
+    EXPECT_EQ(records.at(i).Get("model").AsString(),
+              i < 3 ? "metr-la" : "city-syn");
+  }
+  const std::vector<std::string> summary = {
+      "saturation_rps",
+      "fleet_models",
+      "fleet_completed",
+      "fleet_high_shed_rate",
+      "fleet_high_deadline_miss_rate",
+      "fleet_high_p99_ms",
+      "fleet_hot_shed_rate",
+      "rejected_quota",
+      "hot_swaps",
+      "post_swap_bitwise",
+      "bitwise_models",
+      "others_session_swaps",
+      "faults_armed",
+      "faults_fired",
+      "max_tier",
+      "degrade_transitions"};
+  EXPECT_EQ(Keys(doc.Get("summary")), summary);
 }
 
 TEST(RunnerTest, ExpansionFailsOnUnknownAxisNames) {

@@ -24,6 +24,7 @@
 #include "data/sliding_window.h"
 #include "data/synthetic_traffic.h"
 #include "infer/fleet/fleet_server.h"
+#include "infer/hot_reload.h"
 #include "infer/retry.h"
 #include "nn/linear.h"
 #include "train/checkpoint.h"
@@ -285,11 +286,6 @@ TEST_F(FleetServerTest, RegistryValidatesModels) {
   EXPECT_EQ(fleet.session("nope"), nullptr);
   ASSERT_NE(fleet.model_options("a"), nullptr);
   EXPECT_EQ(fleet.model_options("a")->max_batch_size, 4);
-
-  // Reloaders: unknown ids and double-attachment are refused.
-  EXPECT_FALSE(fleet.AttachReloader(
-      "nope", nullptr, [this] { return NewTinyModel(1); }, scaler_, Options(),
-      infer::HotReloadOptions{}, &error));
 }
 
 TEST_F(FleetServerTest, RoutesEachModelToItsOwnWeightsBitwise) {
@@ -459,16 +455,13 @@ TEST_F(FleetServerTest, TwoModelsHotReloadConcurrentlyUnderTraffic) {
   reload_a.poll_interval_ms = 10;
   infer::HotReloadOptions reload_b = reload_a;
   reload_b.directory = dir_b;
-  std::string error;
-  ASSERT_TRUE(fleet.AttachReloader("a", server.host("a"),
-                                   [this] { return NewTinyModel(99); },
-                                   scaler_, Options(), reload_a, &error))
-      << error;
-  ASSERT_TRUE(fleet.AttachReloader("b", server.host("b"),
-                                   [this] { return NewTinyModel(99); },
-                                   scaler_, Options(), reload_b, &error))
-      << error;
-  fleet.StartReloaders();
+  const auto factory = [this] { return NewTinyModel(99); };
+  infer::CheckpointReloader reloader_a(server.host("a"), factory, scaler_,
+                                       Options(), reload_a);
+  infer::CheckpointReloader reloader_b(server.host("b"), factory, scaler_,
+                                       Options(), reload_b);
+  reloader_a.Start();
+  reloader_b.Start();
 
   // Traffic hammers all three lanes while both checkpoints stage and swap.
   std::atomic<bool> stop{false};
@@ -491,16 +484,16 @@ TEST_F(FleetServerTest, TwoModelsHotReloadConcurrentlyUnderTraffic) {
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(60);
-  while ((fleet.reloader("a")->stats().swaps == 0 ||
-          fleet.reloader("b")->stats().swaps == 0) &&
+  while ((reloader_a.stats().swaps == 0 || reloader_b.stats().swaps == 0) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   stop.store(true);
   for (std::thread& t : traffic) t.join();
-  fleet.StopReloaders();
-  ASSERT_EQ(fleet.reloader("a")->stats().swaps, 1);
-  ASSERT_EQ(fleet.reloader("b")->stats().swaps, 1);
+  reloader_a.Stop();
+  reloader_b.Stop();
+  ASSERT_EQ(reloader_a.stats().swaps, 1);
+  ASSERT_EQ(reloader_b.stats().swaps, 1);
 
   // Post-swap, each lane serves its own staged weights bitwise; the lane
   // without a reloader still serves its boot weights.

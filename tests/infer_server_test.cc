@@ -672,7 +672,8 @@ TEST_F(InferServerTest, DrainUnderLoadWithConcurrentSubmitters) {
 }
 
 // SwapSession mid-load: requests dispatched after the swap are served by
-// the new weights, bitwise equal to the new session running alone.
+// the new weights, bitwise equal to the new session running alone, and the
+// retired session is released.
 TEST_F(InferServerTest, SwapSessionServesNewWeightsBitwise) {
   infer::SessionOptions session_options;
   session_options.num_nodes = kNodes;
@@ -714,11 +715,16 @@ TEST_F(InferServerTest, SwapSessionServesNewWeightsBitwise) {
           std::make_unique<TinyModel>(kNodes, kHorizon, next_rng), scaler_,
           session_options);
   ASSERT_NE(next, nullptr);
+  const std::weak_ptr<infer::InferenceSession> retired = first;
+  first.reset();
   server.SwapSession(next);
 
   const infer::Forecast after = server.Submit(MakeRequest(3)).get();
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.values, reference.values);  // bitwise, not approximately
+  // Nothing in the server still holds the retired session once the batch
+  // that ran on it is done.
+  EXPECT_TRUE(retired.expired());
 
   server.Shutdown();
   EXPECT_EQ(server.stats().session_swaps, 1);
