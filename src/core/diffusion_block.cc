@@ -53,56 +53,49 @@ BlockOutput DiffusionBlock::Forward(
   const int64_t batch = x.size(0);
   const int64_t steps = x.size(1);
   const int64_t nodes = x.size(2);
-  D2_CHECK_EQ(x.size(3), hidden_dim_);
+  const int64_t dim = hidden_dim_;
+  D2_CHECK_EQ(x.size(3), dim);
+  D2_CHECK(!localized_supports.empty()) << "DiffusionBlock needs a support";
   D2_CHECK_LE(localized_supports.size(),
               conv_weight_.size() / static_cast<size_t>(k_s_));
 
-  // Eq. 5: per-offset non-linear frame transforms, computed once for the
-  // whole sequence. transformed[j] holds sigma(X W_j) where j is the offset
-  // back from the target step. The sequence is zero-padded in front so
-  // every step owns a full k_t window.
-  std::vector<Tensor> transformed;
-  transformed.reserve(static_cast<size_t>(k_t_));
+  // Eqs. 5 & 6 folded. P^lc is k_t copies of M = P^k ⊙ (1 - I) side by side,
+  // so P^lc X^lc_t = M Z_t with Z_t = sum_j sigma(X_{t-j} W_j). The sequence
+  // is zero-padded in front so every step owns a full k_t window; the frame
+  // at padded index t + j2 (original t - kt + 1 + j2) uses the transform
+  // with offset j = kt - 1 - j2.
   const Tensor padded = PadFront(x, 1, k_t_ - 1);  // [B, T+kt-1, N, d]
-  for (int64_t j = 0; j < k_t_; ++j) {
-    transformed.push_back(Relu(frame_fc_[static_cast<size_t>(j)]->Forward(padded)));
+  Tensor z;                                         // [B, T, N, d]
+  for (int64_t j2 = 0; j2 < k_t_; ++j2) {
+    const Tensor frames =
+        Relu(frame_fc_[static_cast<size_t>(k_t_ - 1 - j2)]->Forward(
+            Slice(padded, 1, j2, j2 + steps)));
+    z = z.defined() ? Add(z, frames) : frames;
   }
+  // T folds into the GEMM columns: [B, N, T*d].
+  const Tensor z_cols =
+      Reshape(Permute(z, {0, 2, 1, 3}), {batch, nodes, steps * dim});
 
-  // Eqs. 6 & 8 per step: H_t = sum_s sum_k (P^lc_s)^k X^lc_t W_{s,k}.
-  std::vector<Tensor> hidden_steps;
-  hidden_steps.reserve(static_cast<size_t>(steps));
-  for (int64_t t = 0; t < steps; ++t) {
-    // X^lc_t: frames [t-kt+1 .. t] stacked on the node axis, earliest
-    // first (matching the k_t blocks of the localized transition). The
-    // frame at padded index t + j2 (original t - kt + 1 + j2) uses the
-    // transform with offset j = kt - 1 - j2.
-    std::vector<Tensor> rows;
-    rows.reserve(static_cast<size_t>(k_t_));
-    for (int64_t j2 = 0; j2 < k_t_; ++j2) {
-      const Tensor frame = Reshape(
-          Slice(transformed[static_cast<size_t>(k_t_ - 1 - j2)], 1, t + j2,
-                t + j2 + 1),
-          {batch, nodes, hidden_dim_});
-      rows.push_back(frame);
+  // Eq. 8: H = sum_s sum_k M_{s,k} Z W_{s,k}, one [N, N] x [N, T*d] product
+  // and one [N*T, d] x [d, d] product per (support, order).
+  Tensor h;  // [B, N*T, d]
+  for (size_t s = 0; s < localized_supports.size(); ++s) {
+    D2_CHECK_EQ(static_cast<int64_t>(localized_supports[s].size()), k_s_);
+    for (int64_t k = 0; k < k_s_; ++k) {
+      const Tensor& m = localized_supports[s][static_cast<size_t>(k)];
+      D2_CHECK((m.dim() == 2 || (m.dim() == 3 && m.size(0) == batch)) &&
+               m.size(-2) == nodes && m.size(-1) == nodes)
+          << "support " << s << " power " << k + 1 << " is "
+          << ShapeToString(m.shape()) << "; want [N, N] or [B, N, N] with N = "
+          << nodes << ", B = " << batch;
+      const Tensor conv = MatMul(
+          Reshape(MatMul(m, z_cols), {batch, nodes * steps, dim}),
+          conv_weight_[s * static_cast<size_t>(k_s_) + static_cast<size_t>(k)]);
+      h = h.defined() ? Add(h, conv) : conv;
     }
-    const Tensor x_lc = Concat(rows, 1);  // [B, kt*N, d]
-
-    Tensor h_t;
-    for (size_t s = 0; s < localized_supports.size(); ++s) {
-      D2_CHECK_EQ(static_cast<int64_t>(localized_supports[s].size()), k_s_);
-      for (int64_t k = 0; k < k_s_; ++k) {
-        Tensor p = localized_supports[s][static_cast<size_t>(k)];
-        if (p.dim() == 2) p = Unsqueeze(p, 0);  // broadcast over batch
-        const Tensor conv = MatMul(
-            MatMul(p, x_lc),
-            conv_weight_[s * static_cast<size_t>(k_s_) +
-                         static_cast<size_t>(k)]);
-        h_t = h_t.defined() ? Add(h_t, conv) : conv;
-      }
-    }
-    hidden_steps.push_back(h_t);  // [B, N, d]
   }
-  const Tensor hidden = Stack(hidden_steps, 1);  // [B, T, N, d]
+  const Tensor hidden =
+      Permute(Reshape(h, {batch, nodes, steps, dim}), {0, 2, 1, 3});
 
   BlockOutput out;
   out.hidden_sequence = hidden;
@@ -113,11 +106,10 @@ BlockOutput DiffusionBlock::Forward(
   if (autoregressive_) {
     std::vector<Tensor> window;
     for (int64_t j = std::max<int64_t>(0, steps - k_t_); j < steps; ++j) {
-      window.push_back(hidden_steps[static_cast<size_t>(j)]);
+      window.push_back(Select(hidden, 1, j));
     }
     while (static_cast<int64_t>(window.size()) < k_t_) {
-      window.insert(window.begin(),
-                    Tensor::Zeros({batch, nodes, hidden_dim_}));
+      window.insert(window.begin(), Tensor::Zeros({batch, nodes, dim}));
     }
     std::vector<Tensor> future;
     future.reserve(static_cast<size_t>(horizon_));
@@ -131,10 +123,10 @@ BlockOutput DiffusionBlock::Forward(
     }
     out.hidden_forecast = Stack(future, 1);  // [B, Tf, N, d]
   } else {
-    const Tensor last = hidden_steps.back();  // [B, N, d]
+    const Tensor last = Select(hidden, 1, steps - 1);  // [B, N, d]
     Tensor flat =
         forecast_fc2_->Forward(Relu(forecast_fc1_->Forward(last)));
-    flat = Reshape(flat, {batch, nodes, horizon_, hidden_dim_});
+    flat = Reshape(flat, {batch, nodes, horizon_, dim});
     out.hidden_forecast = Permute(flat, {0, 2, 1, 3});
   }
 

@@ -23,11 +23,18 @@ struct BlockOutput {
 };
 
 /// The diffusion model: a spatial-temporal localized convolutional layer
-/// (paper Sec. 5.1, Eqs. 4–9). For each time step t it builds the localized
-/// feature matrix X^lc_t from the last k_t frames — each frame passed
-/// through its own non-linear transform W_{k'} (Eq. 5) — and convolves it
-/// with the k_s powers of every localized transition matrix, each (support,
-/// order) pair owning its output weight (Eq. 8).
+/// (paper Sec. 5.1, Eqs. 4–9). For each time step t the localized feature
+/// matrix X^lc_t holds the last k_t frames — each passed through its own
+/// non-linear transform W_{k'} (Eq. 5) — and is convolved with the k_s
+/// powers of every localized transition matrix, each (support, order) pair
+/// owning its output weight (Eq. 8).
+///
+/// The convolution runs folded: the localized transition is k_t copies of
+/// one masked block M = P^k ⊙ (1 - I), so P^lc X^lc_t = M · Σ_j X_{t-j}
+/// exactly. The block sums the k_t transformed frames once into Z [B,T,N,d]
+/// and runs one [N, N] x [N, T·d] product per (support, order), then one
+/// [N·T, d] x [d, d] product with its weight: the graph products cost k_t
+/// times fewer FLOPs than multiplying by the [N, k_t·N] matrix per step.
 class DiffusionBlock : public nn::Module {
  public:
   /// `num_supports` is the number of transition matrices (2 static/dynamic
@@ -41,10 +48,11 @@ class DiffusionBlock : public nn::Module {
 
   /// Runs the localized convolution.
   /// `x`: [B, T, N, d] diffusion-signal input;
-  /// `localized_supports[s][k-1]`: the k-order localized transition of
-  /// support s, [N, k_t*N] (static) or [B, N, k_t*N] (dynamic). The number
-  /// of supports may be less than `num_supports` (e.g. w/o apt) — extra
-  /// weights simply stay unused.
+  /// `localized_supports[s][k-1]`: the masked block M of support s's k-order
+  /// localized transition (`graph::LocalizedTransition`), [N, N] (static)
+  /// or [B, N, N] (dynamic); any other shape aborts naming the support. The
+  /// number of supports may be less than `num_supports` (e.g. w/o apt) —
+  /// extra weights simply stay unused.
   BlockOutput Forward(
       const Tensor& x,
       const std::vector<std::vector<Tensor>>& localized_supports) const;

@@ -1,27 +1,17 @@
 #include "graph/localized_transition.h"
 
-#include <vector>
-
 #include "common/check.h"
 #include "tensor/ops.h"
 
 namespace d2stgnn::graph {
 
-Tensor MaskSelfLoops(const Tensor& p) {
-  D2_CHECK_GE(p.dim(), 2);
-  const int64_t n = p.size(-1);
-  D2_CHECK_EQ(p.size(-2), n) << "trailing block must be square";
-  // (1 - I_N), broadcast over any batch dimensions.
-  Tensor mask = Sub(Tensor::Ones({n, n}), Tensor::Eye(n));
-  return Mul(p, mask);
-}
-
 Tensor LocalizedTransition(const Tensor& p_k, int64_t k_t) {
   D2_CHECK_GE(k_t, 1);
-  const Tensor masked = MaskSelfLoops(p_k);
-  if (k_t == 1) return masked;
-  std::vector<Tensor> blocks(static_cast<size_t>(k_t), masked);
-  return Concat(blocks, -1);
+  D2_CHECK_GE(p_k.dim(), 2);
+  const int64_t n = p_k.size(-1);
+  D2_CHECK_EQ(p_k.size(-2), n) << "trailing block must be square";
+  // (1 - I_N), broadcast over any batch dimensions.
+  return Mul(p_k, Sub(Tensor::Ones({n, n}), Tensor::Eye(n)));
 }
 
 }  // namespace d2stgnn::graph

@@ -5,20 +5,19 @@
 
 namespace d2stgnn::graph {
 
-/// Builds the spatial-temporal localized transition matrix of the paper's
-/// Eq. 4:
+/// Builds the block of the spatial-temporal localized transition matrix of
+/// the paper's Eq. 4:
 ///
-///   (P^local)^k = [P^k ⊙ (1 - I_N)] ‖ ... ‖ [P^k ⊙ (1 - I_N)]   (k_t blocks)
+///   (P^local)^k = [M ‖ ... ‖ M]  (k_t blocks),  M = P^k ⊙ (1 - I_N)
 ///
 /// The diagonal is masked because a node's own history belongs to the
-/// inherent model, not the diffusion model. `p_k` may be a static [N, N]
-/// matrix or a batched [B, N, N] dynamic matrix (Eq. 14); the result is
-/// [..., N, k_t * N]. Differentiable.
+/// inherent model, not the diffusion model. Since every block is the same
+/// M, P^local X^lc_t = M · Σ_j X_{t-j}: the diffusion block convolves the
+/// summed window with M alone, so only M is built. `p_k` may be a static
+/// [N, N] matrix or a batched [B, N, N] dynamic matrix (Eq. 14); the result
+/// has the same shape. `k_t` (≥ 1) is the window the block is used with.
+/// Differentiable.
 Tensor LocalizedTransition(const Tensor& p_k, int64_t k_t);
-
-/// Masks the diagonal of the trailing [N, N] block: p ⊙ (1 - I_N).
-/// Differentiable; accepts [N, N] or [B, N, N].
-Tensor MaskSelfLoops(const Tensor& p);
 
 }  // namespace d2stgnn::graph
 

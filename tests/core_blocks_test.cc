@@ -1,6 +1,9 @@
 #include "core/decoupled_layer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +139,188 @@ TEST(DiffusionBlockTest, AcceptsBatchedDynamicSupports) {
   EXPECT_EQ(out.hidden_sequence.shape(),
             (Shape{kBatch, kSteps, kNodes, kDim}));
 }
+
+// ---------------------------------------------------------------------------
+// Oracle: the unfolded Eqs. 4–6 & 8 exactly as the paper writes them, kept
+// only as the reference the folded DiffusionBlock is checked against. Per
+// step t, the localized feature matrix X^lc_t (the k_t transformed frames
+// stacked on the node axis, earliest first) is multiplied by the
+// [.., N, k_t·N] localized transition built by concatenating k_t copies of
+// the masked block. `block` must have exactly masked.size() supports; its
+// weights are read in registration order: W_conv[s * k_s + k], then
+// (weight, bias) of frame_fc[0..k_t), forecast_fc1, forecast_fc2,
+// backcast_fc1, backcast_fc2.
+BlockOutput UnfoldedDiffusion(const DiffusionBlock& block, int64_t k_s,
+                              int64_t horizon, bool autoregressive,
+                              const Tensor& x,
+                              const std::vector<std::vector<Tensor>>& masked) {
+  const std::vector<Tensor> w = block.Parameters();
+  const int64_t k_t = block.k_t();
+  const int64_t batch = x.size(0), steps = x.size(1), nodes = x.size(2),
+                dim = x.size(3);
+  auto dense = [&w](size_t i, const Tensor& in) {
+    return Add(MatMul(in, w[i]), w[i + 1]);
+  };
+  const size_t frame0 = masked.size() * static_cast<size_t>(k_s);
+  const size_t fc1 = frame0 + 2 * static_cast<size_t>(k_t);
+  const size_t fc2 = fc1 + 2, bc1 = fc2 + 2, bc2 = bc1 + 2;
+
+  const Tensor padded = PadFront(x, 1, k_t - 1);
+  std::vector<Tensor> transformed;
+  for (int64_t j = 0; j < k_t; ++j) {
+    transformed.push_back(Relu(dense(frame0 + 2 * static_cast<size_t>(j),
+                                     padded)));
+  }
+  std::vector<Tensor> hidden_steps;
+  for (int64_t t = 0; t < steps; ++t) {
+    std::vector<Tensor> rows;
+    for (int64_t j2 = 0; j2 < k_t; ++j2) {
+      const Tensor& frames = transformed[static_cast<size_t>(k_t - 1 - j2)];
+      rows.push_back(
+          Reshape(Slice(frames, 1, t + j2, t + j2 + 1), {batch, nodes, dim}));
+    }
+    const Tensor x_lc = Concat(rows, 1);  // [B, kt*N, d]
+    Tensor h_t;
+    for (size_t s = 0; s < masked.size(); ++s) {
+      for (int64_t k = 0; k < k_s; ++k) {
+        const Tensor& m = masked[s][static_cast<size_t>(k)];
+        Tensor p_lc =
+            Concat(std::vector<Tensor>(static_cast<size_t>(k_t), m), -1);
+        if (p_lc.dim() == 2) p_lc = Unsqueeze(p_lc, 0);
+        const Tensor conv = MatMul(
+            MatMul(p_lc, x_lc),
+            w[s * static_cast<size_t>(k_s) + static_cast<size_t>(k)]);
+        h_t = h_t.defined() ? Add(h_t, conv) : conv;
+      }
+    }
+    hidden_steps.push_back(h_t);
+  }
+  BlockOutput out;
+  out.hidden_sequence = Stack(hidden_steps, 1);
+  if (autoregressive) {
+    std::vector<Tensor> window;
+    for (int64_t j = std::max<int64_t>(0, steps - k_t); j < steps; ++j) {
+      window.push_back(hidden_steps[static_cast<size_t>(j)]);
+    }
+    while (static_cast<int64_t>(window.size()) < k_t) {
+      window.insert(window.begin(), Tensor::Zeros({batch, nodes, dim}));
+    }
+    std::vector<Tensor> future;
+    for (int64_t f = 0; f < horizon; ++f) {
+      const Tensor next = dense(fc2, Relu(dense(fc1, Concat(window, -1))));
+      future.push_back(next);
+      window.erase(window.begin());
+      window.push_back(next);
+    }
+    out.hidden_forecast = Stack(future, 1);
+  } else {
+    const Tensor flat =
+        dense(fc2, Relu(dense(fc1, hidden_steps.back())));
+    out.hidden_forecast =
+        Permute(Reshape(flat, {batch, nodes, horizon, dim}), {0, 2, 1, 3});
+  }
+  out.backcast = dense(bc2, Relu(dense(bc1, out.hidden_sequence)));
+  return out;
+}
+
+// Folded vs unfolded agree within this relative bound (per element, against
+// max(1, |oracle|)): the fold reorders float sums — the k_t window is summed
+// before the graph product instead of after — and changes nothing else.
+constexpr float kFoldTolerance = 2e-5f;
+
+void ExpectClose(const Tensor& folded, const Tensor& oracle,
+                 const std::string& what) {
+  ASSERT_EQ(folded.shape(), oracle.shape()) << what;
+  double worst = 0.0;
+  for (int64_t i = 0; i < oracle.numel(); ++i) {
+    const double ref = oracle.At(i);
+    worst = std::max(worst, std::fabs(folded.At(i) - ref) /
+                                std::max(1.0, std::fabs(ref)));
+  }
+  EXPECT_LE(worst, kFoldTolerance) << what;
+}
+
+// k_t, batched dynamic support, autoregressive forecast branch.
+using FoldCase = std::tuple<int64_t, bool, bool>;
+
+class DiffusionBlockFoldOracle : public ::testing::TestWithParam<FoldCase> {};
+
+// The folded block matches the unfolded oracle on every output and on the
+// gradients to x, the supports, W_conv and the frame transforms. k_t = 5
+// exceeds the 4-step window, so early steps read zero-padded frames.
+TEST_P(DiffusionBlockFoldOracle, FoldedMatchesUnfoldedEq6) {
+  const auto& [k_t, batched, autoregressive] = GetParam();
+  constexpr int64_t kK = 2, kSupports = 2, kHorizon = 3, kWindow = 4;
+  Rng rng(31);
+  const Tensor x =
+      Tensor::Randn({kBatch, kWindow, kNodes, kDim}, rng).SetRequiresGrad(true);
+  // Support 0 is per-sample ([B, N, N], the dynamic road graph) when
+  // `batched`; support 1 is always shared ([N, N]).
+  std::vector<std::vector<Tensor>> powers(kSupports);
+  for (int64_t s = 0; s < kSupports; ++s) {
+    for (int64_t k = 0; k < kK; ++k) {
+      const Shape shape = (batched && s == 0) ? Shape{kBatch, kNodes, kNodes}
+                                              : Shape{kNodes, kNodes};
+      powers[s].push_back(
+          Softmax(Tensor::Randn(shape, rng), -1).Detach().SetRequiresGrad(true));
+    }
+  }
+  DiffusionBlock block(kDim, kK, k_t, kSupports, kHorizon, autoregressive, rng);
+  // Non-zero biases, so the zero-padded frames before t = 0 carry signal.
+  for (Tensor& p : block.Parameters()) {
+    if (p.dim() == 1) {
+      for (float& v : p.Data()) v = rng.Uniform(-0.5f, 0.5f);
+    }
+  }
+  const Tensor r_seq = Tensor::Randn({kBatch, kWindow, kNodes, kDim}, rng);
+  const Tensor r_fc = Tensor::Randn({kBatch, kHorizon, kNodes, kDim}, rng);
+
+  // Runs one form, back-propagates a random projection of all three outputs
+  // and returns the outputs followed by the gradients to compare.
+  auto run = [&](bool folded) {
+    std::vector<std::vector<Tensor>> masked(kSupports);
+    for (int64_t s = 0; s < kSupports; ++s) {
+      for (const Tensor& p : powers[s]) {
+        masked[s].push_back(graph::LocalizedTransition(p, k_t));
+      }
+    }
+    const BlockOutput out =
+        folded ? block.Forward(x, masked)
+               : UnfoldedDiffusion(block, kK, kHorizon, autoregressive, x,
+                                   masked);
+    x.ZeroGrad();
+    block.ZeroGrad();
+    for (auto& support : powers) {
+      for (Tensor& p : support) p.ZeroGrad();
+    }
+    Add(Add(Sum(Mul(out.hidden_sequence, r_seq)),
+            Sum(Mul(out.hidden_forecast, r_fc))),
+        Sum(Mul(out.backcast, r_seq)))
+        .Backward();
+    std::vector<Tensor> got = {out.hidden_sequence, out.hidden_forecast,
+                               out.backcast, x.Grad().Clone()};
+    for (auto& support : powers) {
+      for (Tensor& p : support) got.push_back(p.Grad().Clone());
+    }
+    // W_conv and the frame transforms' weights and biases.
+    const std::vector<Tensor> params = block.Parameters();
+    for (size_t i = 0; i < kSupports * kK + 2 * static_cast<size_t>(k_t); ++i) {
+      got.push_back(params[i].Grad().Clone());
+    }
+    return got;
+  };
+  const std::vector<Tensor> oracle = run(false);
+  const std::vector<Tensor> folded = run(true);
+  ASSERT_EQ(folded.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    ExpectClose(folded[i], oracle[i], "compared tensor " + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KtSupportsBranches, DiffusionBlockFoldOracle,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5), ::testing::Bool(),
+                       ::testing::Bool()));
 
 TEST(InherentBlockTest, OutputShapesAllVariants) {
   Fixture f;

@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "core/diffusion_block.h"
 #include "data/sliding_window.h"
 #include "nn/linear.h"
 #include "tensor/ops.h"
@@ -69,6 +70,24 @@ TEST(DeathTest, LinearWrongInputWidthAborts) {
 TEST(DeathTest, ItemOnMultiElementAborts) {
   Tensor a({3});
   EXPECT_DEATH(a.Item(), "single-element");
+}
+
+// The diffusion block takes the one masked [N, N] (or [B, N, N]) block per
+// support power. A stale [N, k_t*N] localized transition, or one sized for
+// another graph or batch, aborts at the block boundary naming the support.
+TEST(DeathTest, DiffusionBlockRejectsMisshapedSupport) {
+  Rng rng(1);
+  core::DiffusionBlock block(4, /*k_s=*/1, /*k_t=*/2, /*num_supports=*/2,
+                             /*forecast_horizon=*/2, /*autoregressive=*/true,
+                             rng);
+  const Tensor x = Tensor::Ones({2, 3, 5, 4});
+  const Tensor good = Tensor::Ones({5, 5});
+  EXPECT_DEATH(block.Forward(x, {{good}, {Tensor::Ones({5, 10})}}),
+               "support 1 power 1 is \\[5, 10\\]");
+  EXPECT_DEATH(block.Forward(x, {{Tensor::Ones({3, 5, 5})}, {good}}),
+               "support 0 power 1 is \\[3, 5, 5\\]");
+  EXPECT_DEATH(block.Forward(x, {{good}, {Tensor::Ones({4, 4})}}),
+               "support 1 power 1 is \\[4, 4\\]");
 }
 
 // Crash safety: SIGKILL the process mid-checkpoint-write and assert the

@@ -15,9 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -556,7 +558,10 @@ class ExecSessionTest : public ::testing::Test {
   // The paper's model with deterministic init: two calls with the same seed
   // build bitwise-identical parameter sets, so a plan-serving session can be
   // compared against an eager twin without a checkpoint round-trip.
-  std::unique_ptr<core::D2Stgnn> NewModel(uint64_t seed) const {
+  // `variant`, when given, rewrites the config (an ablation switch).
+  std::unique_ptr<core::D2Stgnn> NewModel(
+      uint64_t seed,
+      core::D2StgnnConfig (*variant)(core::D2StgnnConfig) = nullptr) const {
     core::D2StgnnConfig config;
     config.num_nodes = kNodes;
     config.input_len = kInputLen;
@@ -566,6 +571,7 @@ class ExecSessionTest : public ::testing::Test {
     config.num_layers = 1;
     config.num_heads = 2;
     config.steps_per_day = traffic_.dataset.steps_per_day;
+    if (variant != nullptr) config = variant(config);
     Rng rng(seed);
     return std::make_unique<core::D2Stgnn>(
         config, traffic_.dataset.network.adjacency, rng);
@@ -592,19 +598,56 @@ class ExecSessionTest : public ::testing::Test {
   int original_threads_ = 0;
 };
 
-class ExecSessionParityTest : public ExecSessionTest,
-                              public ::testing::WithParamInterface<int> {};
+// A model configuration the parity test covers, chosen by what the folded
+// diffusion convolution sees: per-sample [B, N, N] dynamic supports or
+// broadcast [N, N] static ones, with or without the adaptive support, the
+// auto-regressive or direct forecast branch, and a one-step window.
+struct DiffusionVariant {
+  const char* name;
+  core::D2StgnnConfig (*apply)(core::D2StgnnConfig);
+};
+
+void PrintTo(const DiffusionVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
+
+const DiffusionVariant kDiffusionVariants[] = {
+    {"default", [](core::D2StgnnConfig c) { return c; }},
+    {"static_graph", core::MakeStaticGraphConfig},
+    {"no_adaptive",
+     [](core::D2StgnnConfig c) {
+       c.use_adaptive = false;
+       return c;
+     }},
+    {"direct_forecast",
+     [](core::D2StgnnConfig c) {
+       c.autoregressive = false;
+       return c;
+     }},
+    {"k_t_1",
+     [](core::D2StgnnConfig c) {
+       c.k_t = 1;
+       return c;
+     }},
+};
+
+class ExecSessionParityTest
+    : public ExecSessionTest,
+      public ::testing::WithParamInterface<std::tuple<DiffusionVariant, int>> {
+};
 
 // The tentpole contract on the full D2STGNN forward (diffusion block,
 // inherent block, estimation gate, dynamic graph — every core block):
-// plan-served forecasts are bitwise identical to eager ones, at 1 and 4
-// threads, in both serial and level-parallel replay modes.
+// plan-served forecasts are bitwise identical to eager ones, for every
+// diffusion variant, at 1 and 4 threads, in both serial and level-parallel
+// replay modes.
 TEST_P(ExecSessionParityTest, PlanReplayMatchesEagerBitwise) {
-  SetNumThreads(GetParam());
+  const auto& [variant, threads] = GetParam();
+  SetNumThreads(threads);
 
   infer::SessionOptions eager_options = Options();
   eager_options.use_plans = false;
-  auto eager = infer::InferenceSession::Wrap(NewModel(7), scaler_,
+  auto eager = infer::InferenceSession::Wrap(NewModel(7, variant.apply), scaler_,
                                              eager_options);
   ASSERT_NE(eager, nullptr);
   const std::vector<infer::ForecastRequest> requests = Requests(4);
@@ -619,7 +662,7 @@ TEST_P(ExecSessionParityTest, PlanReplayMatchesEagerBitwise) {
     // verifier: the bitwise-parity assertions below are then exercised only
     // on verifier-accepted plans, at 1 and 4 threads.
     plan_options.verify_plans = true;
-    auto planned = infer::InferenceSession::Wrap(NewModel(7), scaler_,
+    auto planned = infer::InferenceSession::Wrap(NewModel(7, variant.apply), scaler_,
                                                  plan_options);
     ASSERT_NE(planned, nullptr);
     planned->Warmup(/*batch_size=*/4, /*runs=*/2);
@@ -645,8 +688,10 @@ TEST_P(ExecSessionParityTest, PlanReplayMatchesEagerBitwise) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ExecSessionParityTest,
-                         ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(
+    Variants, ExecSessionParityTest,
+    ::testing::Combine(::testing::ValuesIn(kDiffusionVariants),
+                       ::testing::Values(1, 4)));
 
 // A batch size larger than every captured plan cannot be padded into one;
 // it must fall back to the eager path and still serve correct forecasts.

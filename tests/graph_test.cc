@@ -1,6 +1,7 @@
 #include "graph/sensor_graph.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,28 +140,39 @@ TEST(Transition, PowersKeepRowStochasticity) {
 }
 
 TEST(LocalizedTransition, MasksDiagonalOfEveryBlock) {
-  // Eq. 4: P^local[i, i + k'N] must be zero — a node's own history belongs
-  // to the inherent model.
+  // Eq. 4: every one of the k_t blocks is M = P ⊙ (1 - I_N) — a node's own
+  // history belongs to the inherent model. Only that one block is built,
+  // whatever k_t: zero diagonal, P everywhere else.
   const auto net = MakeNetwork(6);
   const Tensor p = graph::ForwardTransition(net.adjacency);
-  const Tensor local = graph::LocalizedTransition(p, 3);
-  ASSERT_EQ(local.shape(), (Shape{6, 18}));
-  for (int64_t i = 0; i < 6; ++i) {
-    for (int64_t block = 0; block < 3; ++block) {
-      EXPECT_FLOAT_EQ(local.At({i, block * 6 + i}), 0.0f)
-          << "self-loop not masked at block " << block;
+  for (int64_t k_t = 1; k_t <= 3; ++k_t) {
+    const Tensor local = graph::LocalizedTransition(p, k_t);
+    ASSERT_EQ(local.shape(), (Shape{6, 6}));
+    for (int64_t i = 0; i < 6; ++i) {
+      for (int64_t j = 0; j < 6; ++j) {
+        EXPECT_FLOAT_EQ(local.At({i, j}), i == j ? 0.0f : p.At({i, j}))
+            << "k_t " << k_t << " entry (" << i << ", " << j << ")";
+      }
     }
   }
 }
 
 TEST(LocalizedTransition, BlocksAreIdenticalCopies) {
+  // The identity the diffusion block folds on: since Eq. 4's k_t blocks are
+  // copies of M, [M ‖ M ‖ M] [X_1; X_2; X_3] = M (X_1 + X_2 + X_3).
+  Rng rng(9);
   const auto net = MakeNetwork(6);
-  const Tensor p = graph::ForwardTransition(net.adjacency);
-  const Tensor local = graph::LocalizedTransition(p, 2);
-  for (int64_t i = 0; i < 6; ++i) {
-    for (int64_t j = 0; j < 6; ++j) {
-      EXPECT_FLOAT_EQ(local.At({i, j}), local.At({i, 6 + j}));
-    }
+  const Tensor m =
+      graph::LocalizedTransition(graph::ForwardTransition(net.adjacency), 3);
+  const std::vector<Tensor> frames = {Tensor::Randn({6, 4}, rng),
+                                      Tensor::Randn({6, 4}, rng),
+                                      Tensor::Randn({6, 4}, rng)};
+  const Tensor unfolded =
+      MatMul(Concat({m, m, m}, -1), Concat(frames, 0));  // [6, 4]
+  const Tensor folded = MatMul(m, Add(Add(frames[0], frames[1]), frames[2]));
+  ASSERT_EQ(folded.shape(), unfolded.shape());
+  for (int64_t i = 0; i < folded.numel(); ++i) {
+    EXPECT_NEAR(folded.At(i), unfolded.At(i), 1e-5f);
   }
 }
 
@@ -168,7 +180,13 @@ TEST(LocalizedTransition, SupportsBatchedDynamicGraphs) {
   Rng rng(5);
   const Tensor p = Softmax(Tensor::Randn({4, 5, 5}, rng), -1);
   const Tensor local = graph::LocalizedTransition(p, 3);
-  EXPECT_EQ(local.shape(), (Shape{4, 5, 15}));
+  ASSERT_EQ(local.shape(), (Shape{4, 5, 5}));
+  for (int64_t b = 0; b < 4; ++b) {
+    for (int64_t i = 0; i < 5; ++i) {
+      EXPECT_FLOAT_EQ(local.At({b, i, i}), 0.0f) << "sample " << b;
+      EXPECT_FLOAT_EQ(local.At({b, i, (i + 1) % 5}), p.At({b, i, (i + 1) % 5}));
+    }
+  }
 }
 
 TEST(LocalizedTransition, GradientFlowsThroughMask) {
@@ -176,9 +194,9 @@ TEST(LocalizedTransition, GradientFlowsThroughMask) {
   Tensor p = Tensor::Rand({4, 4}, rng, 0.1f, 1.0f).SetRequiresGrad(true);
   Tensor local = graph::LocalizedTransition(p, 2);
   Sum(local).Backward();
-  // Off-diagonal entries appear in k_t = 2 blocks -> gradient 2; diagonal
+  // Off-diagonal entries pass through the one block -> gradient 1; diagonal
   // entries are masked -> gradient 0.
-  EXPECT_FLOAT_EQ(p.Grad().At({0, 1}), 2.0f);
+  EXPECT_FLOAT_EQ(p.Grad().At({0, 1}), 1.0f);
   EXPECT_FLOAT_EQ(p.Grad().At({0, 0}), 0.0f);
 }
 

@@ -127,7 +127,8 @@ INSTANTIATE_TEST_SUITE_P(Axes, SoftmaxProperty, ::testing::Values(0, 1, 2, -1));
 
 // ---------------------------------------------------------------------------
 // Localized transitions (Eq. 4) for every (k_s, k_t) of Figure 7's sweep:
-// diagonal blocks masked, non-negative, and shaped [N, k_t * N].
+// one [N, N] block whatever k_t, diagonal masked, non-negative, and equal to
+// the transition power off the diagonal.
 
 using KernelSizes = std::tuple<int64_t, int64_t>;
 
@@ -145,10 +146,10 @@ TEST_P(LocalizedProperty, MaskAndShape) {
   ASSERT_EQ(static_cast<int64_t>(powers.size()), k_s);
   for (const Tensor& power : powers) {
     const Tensor local = graph::LocalizedTransition(power, k_t);
-    ASSERT_EQ(local.shape(), (Shape{7, k_t * 7}));
+    ASSERT_EQ(local.shape(), (Shape{7, 7}));
     for (int64_t i = 0; i < 7; ++i) {
-      for (int64_t block = 0; block < k_t; ++block) {
-        EXPECT_FLOAT_EQ(local.At({i, block * 7 + i}), 0.0f);
+      for (int64_t j = 0; j < 7; ++j) {
+        EXPECT_FLOAT_EQ(local.At({i, j}), i == j ? 0.0f : power.At({i, j}));
       }
     }
     for (float v : local.Data()) EXPECT_GE(v, 0.0f);
