@@ -80,11 +80,12 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" --no-tests=error
 # Forced-scalar lane: same binaries, kernel dispatch pinned to the scalar
 # reference backend. Covers the tensor/kernel suites, every plan-capture
-# and serving path that records backend-qualified closures, and the folded
-# diffusion convolution against its unfolded oracle.
+# and serving path that records backend-qualified closures (hot-reload
+# staging included), and the folded diffusion convolution against its
+# unfolded oracle.
 D2STGNN_FORCE_BACKEND=scalar ctest --test-dir build --output-on-failure \
   -j "$(nproc)" \
-  -R 'Tensor|Backend|UlpDiff|MemoryPlanner|ZooCapture|GraphCapture|ExecSession|InferSession|InferServer|Fleet|DiffusionBlock|LocalizedTransition|LocalizedProperty|D2StgnnModel' \
+  -R 'Tensor|Backend|UlpDiff|MemoryPlanner|ZooCapture|GraphCapture|ExecSession|InferSession|InferServer|HotReload|Fleet|DiffusionBlock|LocalizedTransition|LocalizedProperty|D2StgnnModel' \
   --no-tests=error
 
 echo "=== Serving demo: serve_forecasts eager/plan and fleet runs ==="

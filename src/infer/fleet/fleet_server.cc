@@ -82,7 +82,8 @@ FleetServer::FleetServer(const ModelFleet* fleet, const FleetOptions& options)
     lane->host.server = this;
     lane->host.lane = &lane->options;
     if (model_options->warmup) {
-      lane->plan_cap = WarmLane(*lane, lane->session.get());
+      lane->plan_cap =
+          lane->session->WarmForServing(model_options->max_batch_size);
     }
     arbiter_.AddLane(id, model_options->slo.priority,
                      model_options->slo.weight, model_options->queue_share);
@@ -97,21 +98,6 @@ FleetServer::FleetServer(const ModelFleet* fleet, const FleetOptions& options)
 }
 
 FleetServer::~FleetServer() { Shutdown(/*drain=*/true); }
-
-int64_t FleetServer::WarmLane(const Lane& lane,
-                              InferenceSession* session) const {
-  std::vector<int64_t> planned = session->planned_batch_sizes();
-  const auto has_plan = [&planned](int64_t size) {
-    return std::binary_search(planned.begin(), planned.end(), size);
-  };
-  if (!has_plan(1)) session->Warmup(1);
-  if (lane.options.max_batch_size > 1 &&
-      !has_plan(lane.options.max_batch_size)) {
-    session->Warmup(lane.options.max_batch_size);
-  }
-  planned = session->planned_batch_sizes();
-  return planned.empty() ? 0 : planned.back();
-}
 
 int64_t FleetServer::TotalDepthLocked() const {
   int64_t total = 0;
@@ -473,7 +459,9 @@ void FleetServer::SwapSession(const std::string& model_id,
   // Warm before the swap (a pre-warmed staged session skips straight
   // through — its sizes already have plans).
   int64_t cap = 0;
-  if (lane.options.warmup) cap = WarmLane(lane, next.get());
+  if (lane.options.warmup) {
+    cap = next->WarmForServing(lane.options.max_batch_size);
+  }
   // The retired session is released after mu_ (unless a batch in flight
   // still pins it), so tearing it down never stalls the dispatcher.
   std::shared_ptr<InferenceSession> retired;

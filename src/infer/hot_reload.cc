@@ -1,6 +1,5 @@
 #include "infer/hot_reload.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -92,7 +91,7 @@ ReloadStatus CheckpointReloader::StageAndSwap(const std::string& checkpoint) {
   }
 
   SessionOptions shadow_options = session_options_;
-  if (options_.verify_plans) shadow_options.verify_plans = true;
+  shadow_options.verify_plans = true;  // shadows never serve unverified plans
   std::unique_ptr<InferenceSession> staged = InferenceSession::Load(
       std::move(model), checkpoint, scaler_, shadow_options);
   if (staged == nullptr) {
@@ -102,22 +101,11 @@ ReloadStatus CheckpointReloader::StageAndSwap(const std::string& checkpoint) {
     return status;
   }
 
-  // Warm the shadow while the old session serves: plans are captured (and
-  // statically verified, per shadow_options) before any traffic sees it.
-  // Sizes are deduplicated first — repeated configured sizes must not cost
-  // repeated warm-up forwards — and non-positive entries are dropped.
-  std::vector<int64_t> sizes = options_.warmup_batch_sizes;
-  if (sizes.empty()) {
-    sizes = {1, host_->max_batch_size()};
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-  sizes.erase(std::remove_if(sizes.begin(), sizes.end(),
-                             [](int64_t size) { return size <= 0; }),
-              sizes.end());
-  for (int64_t size : sizes) staged->Warmup(size);
-
-  if (shadow_options.use_plans && options_.verify_plans) {
+  // Warm the shadow while the old session serves: plans are captured and
+  // statically verified before any traffic sees it.
+  const int64_t max_batch_size = host_->max_batch_size();
+  staged->WarmForServing(max_batch_size);
+  if (shadow_options.use_plans) {
     const SessionStats session_stats = staged->session_stats();
     if (session_stats.plan_verifier_errors > 0) {
       status.error = "staged plans failed static verification";
@@ -126,8 +114,8 @@ ReloadStatus CheckpointReloader::StageAndSwap(const std::string& checkpoint) {
                     << session_stats.plan_verifier_errors << " errors)";
       return status;
     }
-    if (static_cast<int64_t>(staged->planned_batch_sizes().size()) <
-        static_cast<int64_t>(sizes.size())) {
+    if (staged->planned_batch_sizes() !=
+        InferenceSession::ServingBatchSizes(max_batch_size)) {
       status.error = "staged session is missing captured plans";
       D2_LOG(ERROR) << "infer: hot-reload of " << checkpoint
                     << " rejected: " << status.error;

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/clock.h"
 #include "data/scaler.h"
@@ -20,14 +19,17 @@
 //
 // A CheckpointReloader watches a directory of ckpt-*.d2ck files (what the
 // Trainer writes) and, when a newer one appears, stages it into a *shadow*
-// session: a fresh model instance, a transactional checkpoint load, warm-up
-// forwards, plan capture and static verification — all while live traffic
-// keeps running on the old session. Only a shadow that survives every gate
-// is swapped in (SessionHost::SwapSession — one lane of the FleetServer
-// dispatcher, or a BatchingServer, which forwards to its single lane); any
-// failure keeps the old session serving and is reported as a typed
-// ReloadStatus, never an exception into the serving path. In-flight
-// batches finish on the weights they started with.
+// session: a fresh model instance, a transactional checkpoint load, and the
+// session's one warm-up rule (InferenceSession::WarmForServing at the host's
+// max_batch_size) with plan verification always on — all while live traffic
+// keeps running on the old session. A plan-backed shadow must hold a
+// verifier-clean plan at every serving size, so the swap captures nothing.
+// Only a shadow that survives every gate is swapped in
+// (SessionHost::SwapSession — one lane of the FleetServer dispatcher, or a
+// BatchingServer, which forwards to its single lane); any failure keeps the
+// old session serving and is reported as a typed ReloadStatus, never an
+// exception into the serving path. In-flight batches finish on the weights
+// they started with.
 //
 // The fault point "infer.hot_reload" fails the staging step (as a scripted
 // corrupt/unreadable checkpoint would); because PollOnce retries the same
@@ -45,13 +47,6 @@ struct HotReloadOptions {
   /// Watcher thread poll period. Configurable end to end: the fleet spec's
   /// [fleet] reload_poll_ms and serve_forecasts --reload-poll-ms land here.
   int64_t poll_interval_ms = 200;
-  /// Batch sizes warmed (and planned) on the shadow session before a swap.
-  /// Deduplicated before use; empty: sizes 1 and the host's
-  /// max_batch_size().
-  std::vector<int64_t> warmup_batch_sizes;
-  /// Require every warmed batch size to have a captured, verifier-clean
-  /// plan before the swap (only meaningful when the session uses plans).
-  bool verify_plans = true;
   /// Injected time source for staging-duration accounting (null:
   /// RealClock()).
   Clock* clock = nullptr;

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -29,8 +28,7 @@ InferenceSession::InferenceSession(
     std::unique_ptr<train::ForecastingModel> model,
     const data::StandardScaler& scaler, const SessionOptions& options)
     : model_(std::move(model)), scaler_(scaler), options_(options) {
-  model_->SetTraining(false);  // frozen: no dropout, no tape (see Predict)
-  if (options_.use_arena) arena_ = std::make_shared<BufferArena>();
+  model_->SetTraining(false);  // frozen: no dropout, no tape
 }
 
 std::unique_ptr<InferenceSession> InferenceSession::Wrap(
@@ -142,73 +140,56 @@ data::Batch InferenceSession::AssembleBatch(
   return batch;
 }
 
-Tensor InferenceSession::Predict(const data::Batch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NoGradGuard no_grad;
-  std::optional<ArenaGuard> arena_scope;
-  if (arena_ != nullptr) arena_scope.emplace(arena_);
-  if (const float* out = TryReplayLocked(batch)) {
-    const Shape& shape =
-        ShardLocked().plans.at(batch.batch_size)->plan().output_shape();
-    Tensor prediction(shape);
-    std::copy(out, out + NumElements(shape), prediction.Data().begin());
-    return prediction;
-  }
-  ++stats_.eager_forwards;
-  return scaler_.InverseTransform(model_->Forward(batch));
-}
-
-InferenceSession::BackendPlans& InferenceSession::ShardLocked() {
-  return shards_[kernels::ActiveBackend().name];
-}
-
 const float* InferenceSession::TryReplayLocked(const data::Batch& batch) {
-  if (!options_.use_plans || !batch.x.defined()) return nullptr;
-  BackendPlans& shard = ShardLocked();
-  const auto it = shard.plans.find(batch.batch_size);
-  if (it == shard.plans.end()) return nullptr;
-  exec::PlanExecutor& executor = *it->second;
-
+  exec::PlanExecutor& executor = *plans_.at(batch.batch_size);
   std::vector<exec::InputBinding> inputs;
   inputs.push_back(exec::InputBinding{batch.x.Data().data(), batch.x.numel()});
   const std::vector<const std::vector<int64_t>*> index_inputs = {
       &batch.time_of_day, &batch.day_of_week};
   std::string error;
-  const exec::ReplayMode mode = options_.plan_parallel
-                                    ? exec::ReplayMode::kLevelParallel
-                                    : exec::ReplayMode::kSerial;
-  switch (executor.Run(inputs, index_inputs, mode, &error)) {
+  switch (executor.Run(inputs, index_inputs, exec::ReplayMode::kLevelParallel,
+                       &error)) {
     case exec::ReplayStatus::kOk:
       ++stats_.plan_replays;
       return executor.output();
-    case exec::ReplayStatus::kStaleConstants: {
-      // Parameter storage was reassigned; every cached plan (in every
-      // backend shard) captured the same parameters, so drop them all and
-      // fall back to eager (the next Warmup rebuilds).
-      int64_t dropped = 0;
-      for (const auto& [name, s] : shards_) {
-        dropped += static_cast<int64_t>(s.plans.size());
-      }
-      D2_LOG(WARNING) << "infer: dropping " << dropped
-                      << " stale execution plan(s): " << error;
-      stats_.plan_invalidations += dropped;
-      shards_.clear();  // the reports described the dropped plans
+    case exec::ReplayStatus::kStaleConstants:
+    case exec::ReplayStatus::kBackendMismatch:
+      // Reassigned parameter storage or a switched kernel backend: every
+      // cached plan shares the parameters and the backend, so none can
+      // replay. Drop them all and fall back to eager (Warmup recaptures).
+      DropPlansLocked(error);
       return nullptr;
-    }
     case exec::ReplayStatus::kBindingMismatch:
       // A batch with this batch size but different geometry (input_len /
       // nodes) than the plan captured; the eager path handles it.
       D2_LOG(WARNING) << "infer: plan binding mismatch, running eager: "
                       << error;
       return nullptr;
-    case exec::ReplayStatus::kBackendMismatch:
-      // Should be unreachable — the cache is sharded by backend name — but
-      // the executor's own guard stays authoritative: log and run eager.
-      D2_LOG(WARNING) << "infer: plan backend mismatch, running eager: "
-                      << error;
-      return nullptr;
   }
   return nullptr;
+}
+
+void InferenceSession::DropPlansLocked(const std::string& why) {
+  if (plans_.empty()) return;
+  D2_LOG(WARNING) << "infer: dropping " << plans_.size()
+                  << " execution plan(s): " << why;
+  stats_.plan_invalidations += static_cast<int64_t>(plans_.size());
+  plans_.clear();
+  verify_reports_.clear();
+}
+
+bool InferenceSession::HasPlanLocked(int64_t batch_size) {
+  // Plans are only captured after this check, so the cache never mixes
+  // backends and its first plan speaks for all of them.
+  if (!plans_.empty()) {
+    const std::string& captured = plans_.begin()->second->plan().backend_name();
+    const std::string& active = kernels::ActiveBackend().name;
+    if (captured != active) {
+      DropPlansLocked("captured under kernel backend '" + captured +
+                      "', active is '" + active + "'");
+    }
+  }
+  return plans_.count(batch_size) > 0;
 }
 
 ForecastRequest InferenceSession::BlankRequest() const {
@@ -218,12 +199,19 @@ ForecastRequest InferenceSession::BlankRequest() const {
   return blank;
 }
 
-bool InferenceSession::CapturePlanLocked(int64_t batch_size) {
+std::shared_ptr<const exec::ExecutionPlan> InferenceSession::CapturePlan(
+    int64_t batch_size, std::string* error) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return CaptureLocked(batch_size, error);
+}
+
+std::shared_ptr<const exec::ExecutionPlan> InferenceSession::CaptureLocked(
+    int64_t batch_size, std::string* error) {
+  D2_CHECK_GT(batch_size, 0);
   const std::vector<ForecastRequest> requests(static_cast<size_t>(batch_size),
                                               BlankRequest());
   NoGradGuard no_grad;
-  std::optional<ArenaGuard> arena_scope;
-  if (arena_ != nullptr) arena_scope.emplace(arena_);
+  ArenaGuard arena_scope(arena_);
   const data::Batch batch = AssembleBatch(requests);
   exec::GraphCapture capture;
   capture.BindInput("x", batch.x);
@@ -231,10 +219,17 @@ bool InferenceSession::CapturePlanLocked(int64_t batch_size) {
   capture.BindIndexInput("dow", batch.day_of_week);
   const Tensor out = scaler_.InverseTransform(model_->Forward(batch));
   std::shared_ptr<const exec::ExecutionPlan> plan = capture.Finish(out);
+  if (plan == nullptr && error != nullptr) *error = capture.error();
+  return plan;
+}
+
+bool InferenceSession::CapturePlanLocked(int64_t batch_size) {
+  std::string error;
+  std::shared_ptr<const exec::ExecutionPlan> plan =
+      CaptureLocked(batch_size, &error);
   if (plan == nullptr) {
     D2_LOG(WARNING) << "infer: plan capture failed for batch size "
-                    << batch_size << " (" << capture.error()
-                    << "); serving eagerly";
+                    << batch_size << " (" << error << "); serving eagerly";
     return false;
   }
   D2_LOG(INFO) << "infer: captured batch-" << batch_size << " "
@@ -256,33 +251,11 @@ bool InferenceSession::CapturePlanLocked(int64_t batch_size) {
                     << report.ToString();
       return false;
     }
-    ShardLocked().verify_reports[batch_size] = std::move(report);
+    verify_reports_[batch_size] = std::move(report);
   }
-  ShardLocked().plans[batch_size] =
-      std::make_unique<exec::PlanExecutor>(std::move(plan));
+  plans_[batch_size] = std::make_unique<exec::PlanExecutor>(std::move(plan));
   ++stats_.plans_built;
   return true;
-}
-
-void InferenceSession::VerifyCachedPlanLocked(int64_t batch_size) {
-  BackendPlans& shard = ShardLocked();
-  const auto it = shard.plans.find(batch_size);
-  if (it == shard.plans.end() ||
-      shard.verify_reports.find(batch_size) != shard.verify_reports.end()) {
-    return;
-  }
-  exec::VerifierReport report = exec::VerifyPlan(it->second->plan());
-  ++stats_.plans_verified;
-  if (!report.ok()) {
-    stats_.plan_verifier_errors += report.errors;
-    ++stats_.plan_invalidations;
-    D2_LOG(ERROR) << "infer: cached batch-" << batch_size
-                  << " plan rejected by the static verifier; dropping it\n"
-                  << report.ToString();
-    shard.plans.erase(it);
-    return;
-  }
-  shard.verify_reports[batch_size] = std::move(report);
 }
 
 std::vector<Forecast> InferenceSession::PredictRequests(
@@ -310,22 +283,15 @@ std::vector<Forecast> InferenceSession::PredictRequests(
   const int64_t num_valid = static_cast<int64_t>(valid.size());
   std::lock_guard<std::mutex> lock(mu_);
   NoGradGuard no_grad;
-  std::optional<ArenaGuard> arena_scope;
-  if (arena_ != nullptr) arena_scope.emplace(arena_);
+  ArenaGuard arena_scope(arena_);
 
   // Serve from a captured plan when one matches. A batch smaller than every
   // plan is padded with blank requests up to the nearest plan size — model
   // forwards are batch-independent (asserted by the parity tests), so the
   // padding rows only cost compute and are dropped below.
   int64_t plan_size = 0;
-  if (options_.use_plans) {
-    const BackendPlans& shard = ShardLocked();
-    const auto it = shard.plans.lower_bound(num_valid);
-    if (it != shard.plans.end() &&
-        (it->first == num_valid || options_.pad_to_plan)) {
-      plan_size = it->first;
-    }
-  }
+  const auto it = plans_.lower_bound(num_valid);
+  if (it != plans_.end()) plan_size = it->first;
   if (plan_size > num_valid) {
     batch_requests.resize(static_cast<size_t>(plan_size), BlankRequest());
   }
@@ -361,14 +327,8 @@ void InferenceSession::Warmup(int64_t batch_size, int64_t runs) {
   D2_CHECK_GT(batch_size, 0);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (options_.use_plans) {
-      if (ShardLocked().plans.find(batch_size) == ShardLocked().plans.end()) {
-        CapturePlanLocked(batch_size);  // eager forward also warms the pool
-      } else if (options_.verify_plans) {
-        // Cache hit: a plan captured before verification was enabled (or
-        // whose report was dropped) gets verified here.
-        VerifyCachedPlanLocked(batch_size);
-      }
+    if (options_.use_plans && !HasPlanLocked(batch_size)) {
+      CapturePlanLocked(batch_size);  // eager forward also warms the pool
     }
   }
   const std::vector<ForecastRequest> requests(
@@ -376,8 +336,27 @@ void InferenceSession::Warmup(int64_t batch_size, int64_t runs) {
   for (int64_t r = 0; r < runs; ++r) PredictRequests(requests);
 }
 
+std::vector<int64_t> InferenceSession::ServingBatchSizes(
+    int64_t max_batch_size) {
+  D2_CHECK_GT(max_batch_size, 0);
+  if (max_batch_size == 1) return {1};
+  return {1, max_batch_size};
+}
+
+int64_t InferenceSession::WarmForServing(int64_t max_batch_size) {
+  for (const int64_t size : ServingBatchSizes(max_batch_size)) {
+    bool planned = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      planned = HasPlanLocked(size);
+    }
+    if (!planned) Warmup(size);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return plans_.empty() ? 0 : plans_.rbegin()->first;
+}
+
 BufferArenaStats InferenceSession::arena_stats() const {
-  if (arena_ == nullptr) return BufferArenaStats{};
   return arena_->stats();
 }
 
@@ -389,27 +368,20 @@ SessionStats InferenceSession::session_stats() const {
 std::vector<int64_t> InferenceSession::planned_batch_sizes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<int64_t> sizes;
-  const auto it = shards_.find(kernels::ActiveBackend().name);
-  if (it == shards_.end()) return sizes;
-  sizes.reserve(it->second.plans.size());
-  for (const auto& [size, executor] : it->second.plans) sizes.push_back(size);
+  sizes.reserve(plans_.size());
+  for (const auto& [size, executor] : plans_) sizes.push_back(size);
   return sizes;
 }
 
 std::map<int64_t, exec::VerifierReport> InferenceSession::verifier_reports()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = shards_.find(kernels::ActiveBackend().name);
-  if (it == shards_.end()) return {};
-  return it->second.verify_reports;
+  return verify_reports_;
 }
 
 void InferenceSession::InvalidatePlans() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, shard] : shards_) {
-    stats_.plan_invalidations += static_cast<int64_t>(shard.plans.size());
-  }
-  shards_.clear();
+  DropPlansLocked("invalidated by the caller");
 }
 
 }  // namespace d2stgnn::infer

@@ -22,12 +22,17 @@
 // trained weights from a checkpoint into a frozen ForecastingModel and runs
 // batched no-grad forwards with pooled tensor storage, so steady-state
 // inference builds no autograd tape and allocates no new tensor buffers.
-// Warmup additionally captures the forward into an ExecutionPlan per batch
-// size; matching requests then replay the plan (kernels only — no shape
-// checks, no dispatch, no Tensor churn) with bitwise-identical results.
-// Sessions are the unit every serving layer composes over: the FleetServer
-// dispatcher runs one session per lane, and a BatchingServer is its
-// one-lane facade.
+// The session owns the whole plan lifecycle. Warmup captures the forward
+// into an ExecutionPlan per batch size (CapturePlan is the one capture
+// routine), verifies it when verify_plans is on, and caches it in one map
+// keyed by batch size; matching requests replay the plan (kernels only — no
+// shape checks, no dispatch, no Tensor churn) with bitwise-identical results,
+// and smaller batches are padded up to the nearest plan. A plan that can no
+// longer replay (reassigned parameters, a switched kernel backend) is dropped
+// and recaptured by the next Warmup. WarmForServing is the one warm-up rule
+// servers and the hot reloader apply. Sessions are the unit every serving
+// layer composes over: the FleetServer dispatcher runs one session per lane,
+// and a BatchingServer is its one-lane facade.
 
 namespace d2stgnn::infer {
 
@@ -78,20 +83,12 @@ struct SessionOptions {
   int64_t num_nodes = 0;       ///< required
   int64_t input_len = 12;      ///< T_h
   int64_t steps_per_day = 288; ///< time-of-day slots (Table 2 presets: 288)
-  /// Pool tensor buffers across requests (zero steady-state allocations).
-  /// Off = plain no-grad forwards; useful for A/B-ing the arena.
-  bool use_arena = true;
-  /// Capture an ExecutionPlan per warmed-up batch size and replay it for
-  /// matching requests. Off = always eager (useful for A/B parity runs).
-  bool use_plans = true;
-  /// Replay independent plan steps concurrently (level schedule) instead of
-  /// serially. Bitwise-identical either way.
-  bool plan_parallel = true;
-  /// When a batch is smaller than every captured plan, pad it with blank
-  /// requests up to the nearest plan size and replay (valid because model
+  /// Capture an ExecutionPlan per warmed-up batch size and replay it
+  /// (level-parallel) for requests. A batch smaller than a plan is padded
+  /// with blank requests up to the nearest plan size (valid because model
   /// forwards are batch-independent — see the parity tests); the padding
-  /// rows are discarded. Off = undersized batches run eager.
-  bool pad_to_plan = true;
+  /// rows are discarded. Off = always eager (useful for A/B parity runs).
+  bool use_plans = true;
   /// Statically verify every captured plan (exec/plan_verifier.h) before it
   /// may serve: a plan with verification errors is rejected and its batch
   /// size keeps running eagerly. Defaults on in debug builds and when
@@ -145,12 +142,6 @@ class InferenceSession {
   /// Single-request convenience (a batch of one).
   Forecast PredictOne(const ForecastRequest& request);
 
-  /// Runs an assembled batch through the frozen model and returns
-  /// predictions in original units, [B, Tf, N, 1]. This is the exact
-  /// computation the training-stack evaluator performs (the parity tests
-  /// assert bitwise equality), minus tape and allocation traffic.
-  Tensor Predict(const data::Batch& batch);
-
   /// Builds the model input batch for `requests` — z-scored readings plus
   /// time-of-day / day-of-week channels and index vectors, mirroring
   /// WindowDataLoader::GetBatch. Requests must be pre-validated.
@@ -165,23 +156,39 @@ class InferenceSession {
   /// buffer pool. Distinct batch sizes are planned and pooled independently.
   void Warmup(int64_t batch_size, int64_t runs = 1);
 
-  /// Allocation counters of the session arena (all zeros when use_arena is
-  /// off). After warm-up at a given batch size, further forwards at that
-  /// size must not move fresh_allocations or external_adopts.
+  /// The batch sizes a server dispatching up to `max_batch_size` requests
+  /// per forward keeps planned: {1, max_batch_size}, or {1} when that is 1.
+  static std::vector<int64_t> ServingBatchSizes(int64_t max_batch_size);
+
+  /// The one warm-up rule: runs Warmup at each ServingBatchSizes size that
+  /// has no plan yet (every size, when use_plans is off) and returns the
+  /// largest planned batch size (0 when none).
+  int64_t WarmForServing(int64_t max_batch_size);
+
+  /// Captures the forward a blank batch of `batch_size` runs into a plan —
+  /// the routine Warmup uses — and returns it unverified and uncached
+  /// (null, with `error` set, when capture fails). For tools that verify or
+  /// mutate plans themselves.
+  std::shared_ptr<const exec::ExecutionPlan> CapturePlan(int64_t batch_size,
+                                                         std::string* error);
+
+  /// Allocation counters of the session arena. After warm-up at a given
+  /// batch size, further forwards at that size must not move
+  /// fresh_allocations or external_adopts.
   BufferArenaStats arena_stats() const;
 
   /// Plan-cache counters (a consistent snapshot).
   SessionStats session_stats() const;
 
-  /// Batch sizes with a captured plan under the *active* kernel backend,
-  /// ascending. Plans captured under other backends are cached separately
-  /// and invisible here until that backend is active again.
+  /// Batch sizes with a cached plan, ascending. Plans captured under a
+  /// kernel backend that is no longer active stay listed until the next
+  /// request or warm-up drops them.
   std::vector<int64_t> planned_batch_sizes() const;
 
-  /// Verifier reports for the active backend's cached plans, keyed by batch
-  /// size. Empty when verify_plans is off; entries disappear with their
-  /// plans (invalidation, staleness). Reports of *rejected* plans are not
-  /// kept — their error counts surface in
+  /// Verifier reports for the cached plans, keyed by batch size. Empty
+  /// when verify_plans is off; entries disappear with their plans
+  /// (invalidation, staleness, backend switch). Reports of *rejected*
+  /// plans are not kept — their error counts surface in
   /// SessionStats::plan_verifier_errors.
   std::map<int64_t, exec::VerifierReport> verifier_reports() const;
 
@@ -201,51 +208,44 @@ class InferenceSession {
                    const data::StandardScaler& scaler,
                    const SessionOptions& options);
 
-  /// Runs one eager forward under capture, statically verifies the result
-  /// (when verify_plans is on), and caches plans that pass. Requires mu_
-  /// held. False (after logging) when capture or verification fails; the
-  /// session keeps serving eagerly.
+  /// CapturePlan with mu_ held.
+  std::shared_ptr<const exec::ExecutionPlan> CaptureLocked(
+      int64_t batch_size, std::string* error);
+
+  /// Captures a plan, statically verifies it (when verify_plans is on), and
+  /// caches plans that pass. Requires mu_ held. False (after logging) when
+  /// capture or verification fails; the size keeps serving eagerly.
   bool CapturePlanLocked(int64_t batch_size);
 
-  /// Verifies the already-cached plan for `batch_size` (cache-hit path:
-  /// plans captured before verification was enabled, or whose report was
-  /// dropped). Requires mu_ held. A failing plan is dropped and counted as
-  /// an invalidation.
-  void VerifyCachedPlanLocked(int64_t batch_size);
+  /// Whether `batch_size` has a cached plan that can replay. Requires mu_
+  /// held. Plans bind the kernel backend they were captured under
+  /// (exec/plan.h backend_name); after a switch they are dropped here.
+  bool HasPlanLocked(int64_t batch_size);
 
-  /// Replays the cached plan for `batch`'s batch size, if any. Requires mu_
-  /// held. Returns the output pointer (plan output shape) or null when no
-  /// plan matches — a stale plan is dropped and counted, then null.
+  /// Drops every cached plan and its report, counting each as an
+  /// invalidation. Requires mu_ held.
+  void DropPlansLocked(const std::string& why);
+
+  /// Replays the cached plan for `batch`'s batch size. Requires mu_ held.
+  /// Returns the output pointer (plan output shape), or null after dropping
+  /// plans that cannot replay (stale constants, foreign backend) or on a
+  /// binding mismatch.
   const float* TryReplayLocked(const data::Batch& batch);
 
   /// A blank (all-zero window) request sized for this session.
   ForecastRequest BlankRequest() const;
 
-  /// One backend's slice of the plan cache. Plans bind the kernel backend
-  /// they were captured under (exec/plan.h backend_name), so the cache is
-  /// sharded by backend name: switching backends mid-session never replays
-  /// a foreign plan, and switching back reuses the earlier captures.
-  struct BackendPlans {
-    /// Captured plans keyed by batch size (ordered: padding picks the
-    /// nearest size >= the request count).
-    std::map<int64_t, std::unique_ptr<exec::PlanExecutor>> plans;
-    /// Verifier reports for `plans`, same keys; cleared whenever the
-    /// matching plans are dropped so a stale report can never describe a
-    /// live plan.
-    std::map<int64_t, exec::VerifierReport> verify_reports;
-  };
-
-  /// The cache shard of the currently active kernel backend (created on
-  /// first use). Requires mu_ held.
-  BackendPlans& ShardLocked();
-
   mutable std::mutex mu_;
   std::unique_ptr<train::ForecastingModel> model_;
   data::StandardScaler scaler_;
   SessionOptions options_;
-  std::shared_ptr<BufferArena> arena_;  ///< null when use_arena is off
-  /// Plan-cache shards keyed by kernel backend name.
-  std::map<std::string, BackendPlans> shards_;
+  std::shared_ptr<BufferArena> arena_ = std::make_shared<BufferArena>();
+  /// Captured plans keyed by batch size (ordered: padding picks the nearest
+  /// size >= the request count).
+  std::map<int64_t, std::unique_ptr<exec::PlanExecutor>> plans_;
+  /// Verifier reports for `plans_`, same keys; dropped with their plans so a
+  /// stale report never describes a live plan.
+  std::map<int64_t, exec::VerifierReport> verify_reports_;
   SessionStats stats_;
 };
 

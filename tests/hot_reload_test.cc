@@ -252,6 +252,90 @@ TEST_F(HotReloadTest, InjectedReloadFaultHealsOnNextPoll) {
   EXPECT_EQ(s.reloader->stats().rejects, 1);
 }
 
+// The reloader's verification gate: a staged plan the verifier rejects
+// (here a one-shot injected rejection) fails the whole staging before the
+// swap, the old session keeps serving bitwise, and the next poll swaps.
+TEST_F(HotReloadTest, PlanVerificationFailureRejectsStagingThenHeals) {
+  infer::HotReloadOptions reload_options;
+  reload_options.directory = watch_dir_;
+  Serving s = MakeServing(reload_options);
+  const std::vector<float> old_values = Reference(5, 3);
+
+  WriteCheckpoint(11, 1);
+  fault::ArmFaultPoint("infer.plan_verify",
+                       {fault::FaultKind::kErrno, /*trigger_offset=*/0});
+  const infer::ReloadStatus rejected = s.reloader->PollOnce();
+  EXPECT_EQ(rejected.outcome, infer::ReloadOutcome::kRejected);
+  EXPECT_THAT(rejected.error,
+              ::testing::HasSubstr("staged plans failed static verification"));
+  EXPECT_EQ(s.server->stats().session_swaps, 0);
+
+  infer::Forecast f = s.server->Submit(MakeRequest(3)).get();
+  ASSERT_TRUE(f.ok) << f.error;
+  EXPECT_EQ(f.values, old_values);
+
+  EXPECT_EQ(s.reloader->PollOnce().outcome, infer::ReloadOutcome::kSwapped);
+  EXPECT_EQ(s.server->stats().session_swaps, 1);
+  f = s.server->Submit(MakeRequest(3)).get();
+  ASSERT_TRUE(f.ok) << f.error;
+  EXPECT_EQ(f.values, Reference(11, 3));
+}
+
+// Forwards swaps to a real host, recording the staged session's state on
+// arrival.
+class ProbeHost : public infer::SessionHost {
+ public:
+  explicit ProbeHost(infer::SessionHost* inner) : inner_(inner) {}
+  void SwapSession(std::shared_ptr<infer::InferenceSession> next) override {
+    arrived = next->session_stats();
+    planned_on_arrival = next->planned_batch_sizes();
+    swapped = next;
+    inner_->SwapSession(std::move(next));
+  }
+  int64_t max_batch_size() const override { return inner_->max_batch_size(); }
+
+  infer::SessionStats arrived;
+  std::vector<int64_t> planned_on_arrival;
+  std::shared_ptr<infer::InferenceSession> swapped;
+
+ private:
+  infer::SessionHost* inner_;
+};
+
+// The one warm-up rule: a staged session arrives planned at exactly the
+// serving sizes, so the host's swap captures nothing.
+TEST_F(HotReloadTest, StagedSessionArrivesFullyWarm) {
+  for (const int64_t max_batch_size : {int64_t{1}, int64_t{4}}) {
+    SCOPED_TRACE(max_batch_size);
+    auto boot =
+        infer::InferenceSession::Wrap(NewTinyModel(5), scaler_, Options());
+    ASSERT_NE(boot, nullptr);
+    infer::BatchingOptions options;
+    options.max_batch_size = max_batch_size;
+    infer::BatchingServer server(std::move(boot), options);
+    ProbeHost probe(&server);
+    infer::HotReloadOptions reload_options;
+    reload_options.directory = watch_dir_;
+    infer::CheckpointReloader reloader(
+        &probe, [this] { return NewTinyModel(99); }, scaler_, Options(),
+        reload_options);
+
+    WriteCheckpoint(11, max_batch_size);
+    ASSERT_EQ(reloader.PollOnce().outcome, infer::ReloadOutcome::kSwapped);
+    const std::vector<int64_t> expected =
+        max_batch_size == 1 ? std::vector<int64_t>{1}
+                            : std::vector<int64_t>{1, max_batch_size};
+    EXPECT_EQ(probe.planned_on_arrival, expected);
+    ASSERT_NE(probe.swapped, nullptr);
+    EXPECT_EQ(server.session(), probe.swapped);
+    const infer::SessionStats after = probe.swapped->session_stats();
+    EXPECT_EQ(after.plans_built, probe.arrived.plans_built);
+    EXPECT_EQ(after.plans_built, static_cast<int64_t>(expected.size()));
+    EXPECT_EQ(after.plans_verified, after.plans_built);
+    EXPECT_EQ(probe.swapped->planned_batch_sizes(), expected);
+  }
+}
+
 TEST_F(HotReloadTest, WatcherThreadSwapsUnderLiveTraffic) {
   infer::HotReloadOptions reload_options;
   reload_options.directory = watch_dir_;

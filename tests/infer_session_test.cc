@@ -238,11 +238,6 @@ TEST_P(InferSessionParityTest, CheckpointRoundTripMatchesTrainingStack) {
                                                scaler_, Options());
   ASSERT_NE(session, nullptr);
 
-  // Batch path (the evaluator's shape of call).
-  const Tensor via_batch = session->Predict(batch);
-  ASSERT_EQ(via_batch.shape(), reference.shape());
-  EXPECT_EQ(via_batch.Data(), reference.Data());
-
   // Request path (the server's shape of call).
   std::vector<infer::ForecastRequest> requests;
   for (int64_t i = 0; i < batch.batch_size; ++i) {
@@ -353,35 +348,6 @@ TEST_F(InferSessionTest, EagerForwardIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(after.external_adopts, before.external_adopts)
       << "steady-state eager forward built a tensor bypassing the arena";
   EXPECT_GT(after.pool_hits, before.pool_hits);
-}
-
-// The arena is an optimization, never a semantics change: pooled and
-// unpooled sessions around the same weights forecast identically.
-TEST_F(InferSessionTest, ArenaDoesNotChangeForecasts) {
-  const std::string path = TrainAndCheckpoint("arena_ab.d2ck", nullptr);
-
-  auto pooled = infer::InferenceSession::Load(NewTinyModel(1), path, scaler_,
-                                              Options());
-  infer::SessionOptions no_arena = Options();
-  no_arena.use_arena = false;
-  auto plain = infer::InferenceSession::Load(NewTinyModel(2), path, scaler_,
-                                             no_arena);
-  ASSERT_NE(pooled, nullptr);
-  ASSERT_NE(plain, nullptr);
-
-  const std::vector<infer::ForecastRequest> requests = {MakeRequest(0),
-                                                        MakeRequest(7)};
-  pooled->Warmup(2);
-  const std::vector<infer::Forecast> a = pooled->PredictRequests(requests);
-  const std::vector<infer::Forecast> b = plain->PredictRequests(requests);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].ok && b[i].ok);
-    EXPECT_EQ(a[i].values, b[i].values);
-  }
-  const BufferArenaStats off = plain->arena_stats();
-  EXPECT_EQ(off.fresh_allocations, 0);
-  EXPECT_EQ(off.pool_hits, 0);
 }
 
 TEST_F(InferSessionTest, CorruptCheckpointProducesNoSession) {

@@ -499,57 +499,68 @@ TEST_F(BackendSessionTest, CorruptBackendNameIsCaughtStaticallyAndAtReplay) {
             exec::ReplayStatus::kBackendMismatch);
 }
 
-// The session keys its plan cache by backend: after a backend switch the old
-// shard is invisible (requests fall back to eager instead of replaying — or
-// rejecting — a foreign-backend plan), a Warmup captures a fresh plan into
-// the new shard, and switching back replays the original shard bitwise.
-TEST_F(BackendSessionTest, SessionShardsPlanCacheByBackend) {
+// One plan map across a backend switch: the scalar plan cannot replay under
+// avx2, so the first avx2 request drops it (counted as an invalidation) and
+// serves eagerly; Warmup captures under avx2; switching back recaptures a
+// scalar plan whose replays are bitwise those of the first scalar run.
+TEST_F(BackendSessionTest, BackendSwitchDropsAndRecapturesPlans) {
   if (kernels::Avx2BackendOrNull() == nullptr) {
-    GTEST_SKIP() << "AVX2+FMA unavailable; single shard only";
+    GTEST_SKIP() << "AVX2+FMA unavailable; no second backend to switch to";
   }
   SetNumThreads(1);
   infer::SessionOptions options = Options();
   options.verify_plans = true;
   auto session = infer::InferenceSession::Wrap(NewModel(7), scaler_, options);
   ASSERT_NE(session, nullptr);
+  infer::SessionOptions eager_options = Options();
+  eager_options.use_plans = false;
+  auto eager =
+      infer::InferenceSession::Wrap(NewModel(7), scaler_, eager_options);
+  ASSERT_NE(eager, nullptr);
   const std::vector<infer::ForecastRequest> requests = Requests(4);
 
   kernels::ScopedBackendOverride outer("scalar");
   ASSERT_TRUE(outer.engaged());
   session->Warmup(/*batch_size=*/4, /*runs=*/1);
   EXPECT_EQ(session->session_stats().plans_built, 1);
-  EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{4});
   const std::vector<infer::Forecast> scalar_served =
       session->PredictRequests(requests);
 
   {
     kernels::ScopedBackendOverride inner("avx2");
     ASSERT_TRUE(inner.engaged());
-    // The scalar shard is invisible here: no planned sizes, and a request
-    // serves eagerly instead of touching the foreign-backend plan.
-    EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{});
     const infer::SessionStats pre = session->session_stats();
-    const std::vector<infer::Forecast> eager_served =
+    const std::vector<infer::Forecast> switched =
         session->PredictRequests(requests);
-    EXPECT_EQ(session->session_stats().eager_forwards,
-              pre.eager_forwards + 1);
-    EXPECT_EQ(session->session_stats().plan_replays, pre.plan_replays);
-    ASSERT_EQ(eager_served.size(), scalar_served.size());
-    for (size_t i = 0; i < eager_served.size(); ++i) {
-      ASSERT_TRUE(eager_served[i].ok) << eager_served[i].error;
+    infer::SessionStats stats = session->session_stats();
+    EXPECT_EQ(stats.eager_forwards, pre.eager_forwards + 1);
+    EXPECT_EQ(stats.plan_replays, pre.plan_replays);
+    EXPECT_EQ(stats.plan_invalidations, pre.plan_invalidations + 1);
+    EXPECT_TRUE(session->planned_batch_sizes().empty());
+    EXPECT_TRUE(session->verifier_reports().empty());
+    const std::vector<infer::Forecast> avx2_eager =
+        eager->PredictRequests(requests);
+    ASSERT_EQ(switched.size(), avx2_eager.size());
+    for (size_t i = 0; i < switched.size(); ++i) {
+      ASSERT_TRUE(switched[i].ok) << switched[i].error;
+      EXPECT_EQ(switched[i].values, avx2_eager[i].values) << "request " << i;
     }
 
-    // Warming up under avx2 captures into the avx2 shard.
     session->Warmup(/*batch_size=*/4, /*runs=*/1);
-    EXPECT_EQ(session->session_stats().plans_built, 2);
+    stats = session->session_stats();
+    EXPECT_EQ(stats.plans_built, 2);
+    EXPECT_EQ(stats.plan_replays, pre.plan_replays + 1);
     EXPECT_EQ(session->planned_batch_sizes(), std::vector<int64_t>{4});
   }
 
-  // Back on scalar, the original shard replays bitwise — no recapture.
-  const infer::SessionStats before = session->session_stats();
+  // Back on scalar, Warmup finds the avx2 plan foreign and recaptures.
+  session->Warmup(/*batch_size=*/4, /*runs=*/1);
+  const infer::SessionStats back = session->session_stats();
+  EXPECT_EQ(back.plans_built, 3);
+  EXPECT_EQ(back.plan_invalidations, 2);
   const std::vector<infer::Forecast> again =
       session->PredictRequests(requests);
-  EXPECT_EQ(session->session_stats().plans_built, before.plans_built);
+  EXPECT_EQ(session->session_stats().plan_replays, back.plan_replays + 1);
   ASSERT_EQ(again.size(), scalar_served.size());
   for (size_t i = 0; i < again.size(); ++i) {
     EXPECT_EQ(again[i].values, scalar_served[i].values) << "request " << i;

@@ -3,9 +3,10 @@
 // For every model the experiment registry knows (statistical entries have
 // no captured-plan surface and are skipped with a notice), the tool builds
 // the model on a small synthetic network, captures an ExecutionPlan per
-// requested batch size through the public session API — the same eager
-// forward Warmup records — and runs exec/plan_verifier.h over it. Every
-// error diagnostic is printed with step/op/level provenance.
+// requested batch size through InferenceSession::CapturePlan — the capture
+// routine Warmup uses for the plans it serves — and runs
+// exec/plan_verifier.h over it. Every error diagnostic is printed with
+// step/op/level provenance.
 //
 // Exit codes: 0 = every captured plan verified clean, 2 = verification
 // errors (what CI gates on), 1 = usage or model/capture failure.
@@ -25,7 +26,6 @@
 #include "common/rng.h"
 #include "data/scaler.h"
 #include "data/synthetic_traffic.h"
-#include "exec/graph_capture.h"
 #include "exec/plan_mutator.h"
 #include "exec/plan_verifier.h"
 #include "experiment/registry.h"
@@ -64,29 +64,6 @@ std::vector<int64_t> ParseBatchSizes(const std::string& csv,
   return sizes;
 }
 
-/// Captures the plan an InferenceSession would replay for `batch_size`
-/// using only public API: bind the assembled batch, run the eager Predict
-/// under capture, finish on its output tensor.
-std::shared_ptr<const exec::ExecutionPlan> CapturePlan(
-    infer::InferenceSession& session, int64_t batch_size,
-    std::string* error) {
-  std::vector<infer::ForecastRequest> requests(
-      static_cast<size_t>(batch_size));
-  for (infer::ForecastRequest& request : requests) {
-    request.window.assign(
-        static_cast<size_t>(session.input_len() * session.num_nodes()), 0.0f);
-  }
-  const data::Batch batch = session.AssembleBatch(requests);
-  exec::GraphCapture capture;
-  capture.BindInput("x", batch.x);
-  capture.BindIndexInput("tod", batch.time_of_day);
-  capture.BindIndexInput("dow", batch.day_of_week);
-  const Tensor out = session.Predict(batch);
-  std::shared_ptr<const exec::ExecutionPlan> plan = capture.Finish(out);
-  if (plan == nullptr) *error = capture.error();
-  return plan;
-}
-
 /// Builds a session for one registry entry over a shared synthetic network.
 std::unique_ptr<infer::InferenceSession> BuildSession(
     const experiment::ModelEntry& entry, const data::SyntheticTraffic& traffic,
@@ -109,7 +86,7 @@ std::unique_ptr<infer::InferenceSession> BuildSession(
   session_options.num_nodes = config.num_nodes;
   session_options.input_len = model_config.input_len;
   session_options.steps_per_day = traffic.dataset.steps_per_day;
-  session_options.use_plans = false;     // capture by hand, always eager
+  session_options.use_plans = false;     // plans are captured, never served
   session_options.verify_plans = false;  // this tool runs the verifier itself
   auto session =
       infer::InferenceSession::Wrap(std::move(model), scaler, session_options);
@@ -119,7 +96,7 @@ std::unique_ptr<infer::InferenceSession> BuildSession(
 
 int RunInject(infer::InferenceSession& session, int64_t batch_size) {
   std::string error;
-  const auto plan = CapturePlan(session, batch_size, &error);
+  const auto plan = session.CapturePlan(batch_size, &error);
   if (plan == nullptr) {
     std::fprintf(stderr, "verify_plan: --inject capture failed: %s\n",
                  error.c_str());
@@ -213,7 +190,7 @@ int Run(const ToolConfig& config) {
       return 1;
     }
     for (const int64_t batch_size : config.batch_sizes) {
-      const auto plan = CapturePlan(*session, batch_size, &error);
+      const auto plan = session->CapturePlan(batch_size, &error);
       if (plan == nullptr) {
         std::fprintf(stderr, "verify_plan: %s batch-%lld capture failed: %s\n",
                      entry.name.c_str(),
