@@ -4,7 +4,7 @@
 // 63, 64, 65 — below, at, and past the 8-float AVX2 lane and the 64-float
 // unroll), forced-backend end-to-end forecast deltas on the paper's model,
 // and cross-backend plan replay rejection (executor, verifier, and the
-// session's per-backend plan-cache sharding).
+// session dropping and recapturing plans across a backend switch).
 //
 // Every avx2-dependent test skips cleanly on hosts without AVX2+FMA, so the
 // suite is green on any x86 or non-x86 machine.
