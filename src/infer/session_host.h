@@ -21,8 +21,9 @@ class SessionHost {
   /// runs on `next`.
   virtual void SwapSession(std::shared_ptr<InferenceSession> next) = 0;
 
-  /// The largest batch this host dispatches — the default shadow-warmup
-  /// size, so staged plans cover what the host will actually replay.
+  /// The largest batch this host dispatches. Shadows are warmed with
+  /// InferenceSession::WarmForServing at this size, so staged plans cover
+  /// what the host will actually replay.
   virtual int64_t max_batch_size() const = 0;
 };
 
