@@ -252,6 +252,23 @@ std::vector<JsonRecord> CollectKernelRecords() {
             [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, &records);
   }
   {
+    // The folded localized diffusion at METR-LA scale: one support power
+    // M [N,N] times Z [N, T·d] with N = 207, T = 12, d = 32.
+    Tensor a = Tensor::Randn({207, 207}, rng);
+    Tensor b = Tensor::Randn({207, 384}, rng);
+    SweepOp("diffusion_matmul", "[207,207]x[207,384]",
+            2.0 * 207 * 207 * 384, "flops",
+            [&] { benchmark::DoNotOptimize(MatMul(a, b)); }, &records);
+  }
+  {
+    // A d = 32 Linear layer over every (node, step) row of one window.
+    Tensor a = Tensor::Randn({2484, 32}, rng);
+    Tensor b = Tensor::Randn({32, 32}, rng);
+    SweepOp("linear_matmul", "[2484,32]x[32,32]", 2.0 * 2484 * 32 * 32,
+            "flops", [&] { benchmark::DoNotOptimize(MatMul(a, b)); },
+            &records);
+  }
+  {
     Tensor a = Tensor::Randn({256, 64, 64}, rng);
     SweepOp("softmax", "[256,64,64] dim=-1",
             static_cast<double>(a.numel()), "elements",

@@ -266,6 +266,11 @@ assert kernel_doc["schema_version"] == 1
 assert kernel_doc["records"], "BENCH_kernels.json has no records"
 for r in kernel_doc["records"]:
     assert r["seconds_per_iter"] > 0, r
+# The paper-shaped GEMMs: the folded diffusion product and a Linear layer.
+kernel_workloads = {(r["op"], r["workload"]) for r in kernel_doc["records"]}
+for want in (("diffusion_matmul", "[207,207]x[207,384]"),
+             ("linear_matmul", "[2484,32]x[32,32]")):
+    assert want in kernel_workloads, f"BENCH_kernels.json lacks {want}"
 fleet_doc = json.load(open(sys.argv[3]))
 assert fleet_doc["schema_version"] == 1
 fleet_models = {r["model"] for r in fleet_doc["records"]}

@@ -17,6 +17,10 @@
 //    results are independent of where a chunk boundary falls.
 //  - matmul uses FMA accumulation (one rounding where scalar has two) and
 //    reduce_sum uses four double lanes; both carry relative tolerances.
+//    The matmul's register tile never changes one element's sequence: per
+//    256-wide k-tile each element is loaded, FMA-accumulated over kk
+//    ascending and stored, so the output is bitwise the same for any tile
+//    shape (kernel_backend_test keeps the row-at-a-time loop as oracle).
 //  - pow-scalar delegates to the scalar backend (std::pow semantics are not
 //    worth re-deriving in vector form).
 // Inputs are assumed finite; NaN/Inf propagation in the polynomial paths is
@@ -314,48 +318,111 @@ void Avx2BiasAdd(const float* a, const float* bias, float* out,
   }
 }
 
+// Register tile of the matmul: kTileRows output rows share every pair of B
+// loads, so a 16-column strip keeps 2·kTileRows = 12 independent FMA chains
+// in flight (12 accumulators + 2 B vectors + 1 broadcast = 15 of the 16 ymm
+// registers). The dispatcher's 32-row block is five tiles and one 2-row tile.
+constexpr int kTileRows = 6;
+
+template <bool Masked>
+inline __m256 LoadLanes(const float* p, __m256i mask) {
+  if constexpr (Masked) return _mm256_maskload_ps(p, mask);
+  return _mm256_loadu_ps(p);
+}
+
+template <bool Masked>
+inline void StoreLanes(float* p, __m256i mask, __m256 v) {
+  if constexpr (Masked) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+/// out[i..i+R, j..j+8V) += A[i..i+R, k0..k1) · B[k0..k1, j..j+8V): R rows
+/// by V vectors (V = 2 for the 16-wide body, 1 for the 8-wide and masked
+/// tails). Each element is loaded, FMA-accumulated over kk ascending and
+/// stored — the row-at-a-time order, so tiling never changes a bit.
+template <int R, int V, bool Masked>
+inline void MatMulTile(const float* a, const float* b, float* out, int64_t i,
+                       int64_t j, int64_t k0, int64_t k1, int64_t k,
+                       int64_t n, __m256i mask) {
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = LoadLanes<Masked>(out + (i + r) * n + j + v * kLanes, mask);
+    }
+  }
+  const float* a_tile = a + i * k;
+  for (int64_t kk = k0; kk < k1; ++kk) {
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = LoadLanes<Masked>(b + kk * n + j + v * kLanes, mask);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a_tile + r * k + kk);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      StoreLanes<Masked>(out + (i + r) * n + j + v * kLanes, mask, acc[r][v]);
+    }
+  }
+}
+
+/// One column strip down rows [row_begin, row_end): full row tiles, then
+/// 2-row tiles, then a last single row. The strip of B stays in L1 while
+/// the row tiles walk it.
+template <int V, bool Masked>
+inline void MatMulStrip(const float* a, const float* b, float* out,
+                        int64_t row_begin, int64_t row_end, int64_t j,
+                        int64_t k0, int64_t k1, int64_t k, int64_t n,
+                        __m256i mask) {
+  int64_t i = row_begin;
+  for (; i + kTileRows <= row_end; i += kTileRows) {
+    MatMulTile<kTileRows, V, Masked>(a, b, out, i, j, k0, k1, k, n, mask);
+  }
+  for (; i + 2 <= row_end; i += 2) {
+    MatMulTile<2, V, Masked>(a, b, out, i, j, k0, k1, k, n, mask);
+  }
+  if (i < row_end) {
+    MatMulTile<1, V, Masked>(a, b, out, i, j, k0, k1, k, n, mask);
+  }
+}
+
 void Avx2MatMulRowRange(const float* a, const float* b, float* out,
                         int64_t row_begin, int64_t row_end, int64_t k,
                         int64_t n) {
-  // Register-blocked i-j-k within each k-tile: per output element the
-  // accumulation still walks kk ascending (tile by tile), matching the
-  // scalar order except that mul+add fuses into FMA.
+  // Within each k-tile, every output element still walks kk ascending with
+  // one FMA per step (the scalar order with mul+add fused), and is stored
+  // between k-tiles — so the result does not depend on the tile shape.
+  const int64_t n16 = n - n % (2 * kLanes);
+  const bool has8 = n - n16 >= kLanes;
+  const int64_t tail = n % kLanes;
+  const __m256i mask = tail > 0 ? TailMask(tail) : _mm256_setzero_si256();
   for (int64_t k0 = 0; k0 < k; k0 += kMatMulKTile) {
     const int64_t k1 = std::min(k, k0 + kMatMulKTile);
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = a + i * k;
-      float* out_row = out + i * n;
-      int64_t j = 0;
-      for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
-        __m256 acc0 = _mm256_loadu_ps(out_row + j);
-        __m256 acc1 = _mm256_loadu_ps(out_row + j + kLanes);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          const __m256 av = _mm256_broadcast_ss(a_row + kk);
-          const float* b_row = b + kk * n + j;
-          acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row), acc0);
-          acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + kLanes), acc1);
-        }
-        _mm256_storeu_ps(out_row + j, acc0);
-        _mm256_storeu_ps(out_row + j + kLanes, acc1);
-      }
-      for (; j + kLanes <= n; j += kLanes) {
-        __m256 acc = _mm256_loadu_ps(out_row + j);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk),
-                                _mm256_loadu_ps(b + kk * n + j), acc);
-        }
-        _mm256_storeu_ps(out_row + j, acc);
-      }
-      if (j < n) {
-        const __m256i mask = TailMask(n - j);
-        __m256 acc = _mm256_maskload_ps(out_row + j, mask);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk),
-                                _mm256_maskload_ps(b + kk * n + j, mask),
-                                acc);
-        }
-        _mm256_maskstore_ps(out_row + j, mask, acc);
-      }
+    for (int64_t j = 0; j < n16; j += 2 * kLanes) {
+      MatMulStrip<2, false>(a, b, out, row_begin, row_end, j, k0, k1, k, n,
+                            mask);
+    }
+    if (has8) {
+      MatMulStrip<1, false>(a, b, out, row_begin, row_end, n16, k0, k1, k, n,
+                            mask);
+    }
+    if (tail > 0) {
+      MatMulStrip<1, true>(a, b, out, row_begin, row_end, n - tail, k0, k1, k,
+                           n, mask);
     }
   }
 }

@@ -120,12 +120,68 @@ void EwiseBinaryBroadcast(const KernelBackend& backend, BinaryKind kind,
 void GatherStrided(const Shape& out_shape, const std::vector<int64_t>& strides,
                    const float* a, float* out) {
   const int64_t n = NumElements(out_shape);
-  const std::vector<int64_t> zero(out_shape.size(), 0);
-  ParallelFor(0, n, kEwiseGrain, [&](int64_t lo, int64_t hi) {
-    ForEachBroadcastPair(out_shape, strides, zero, lo, hi,
-                         [&](int64_t i, int64_t src, int64_t) {
-                           out[i] = a[src];
-                         });
+  if (n == 0) return;
+  // Canonical form: size-1 dims dropped, and a dim merged into the one
+  // before it when the two walk the source contiguously (broadcast runs
+  // merge too: 0 == 0 · size).
+  Shape dims;
+  std::vector<int64_t> src_strides;
+  for (size_t d = 0; d < out_shape.size(); ++d) {
+    if (out_shape[d] == 1) continue;
+    if (!dims.empty() && src_strides.back() == strides[d] * out_shape[d]) {
+      dims.back() *= out_shape[d];
+      src_strides.back() = strides[d];
+    } else {
+      dims.push_back(out_shape[d]);
+      src_strides.push_back(strides[d]);
+    }
+  }
+  if (dims.empty()) {
+    out[0] = a[0];
+    return;
+  }
+  // The output is a grid of blocks, each one run of the last dim (copied,
+  // filled when its stride is 0, or gathered) — or, when the second-to-last
+  // dim has source stride 1 (a transposed tail), one [rows, cols] plane
+  // copied in square tiles so reads and writes both stay within a few cache
+  // lines.
+  const size_t rank = dims.size();
+  const int64_t cols = dims.back();
+  const int64_t col_stride = src_strides.back();
+  const bool transposed =
+      rank >= 2 && src_strides[rank - 2] == 1 && col_stride != 0;
+  const size_t block_rank = transposed ? 2 : 1;
+  const int64_t rows = transposed ? dims[rank - 2] : 1;
+  dims.resize(rank - block_rank);
+  src_strides.resize(rank - block_rank);
+  const std::vector<int64_t> zero(dims.size(), 0);
+  const int64_t block = rows * cols;
+  ParallelFor(0, n / block, OuterGrain(block), [&](int64_t lo, int64_t hi) {
+    ForEachBroadcastPair(dims, src_strides, zero, lo, hi,
+                         [&](int64_t i, int64_t src_off, int64_t) {
+      const float* src = a + src_off;
+      float* dst = out + i * block;
+      if (transposed) {
+        constexpr int64_t kTile = 16;
+        for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
+          const int64_t r1 = std::min(rows, r0 + kTile);
+          for (int64_t c0 = 0; c0 < cols; c0 += kTile) {
+            const int64_t c1 = std::min(cols, c0 + kTile);
+            for (int64_t r = r0; r < r1; ++r) {
+              for (int64_t c = c0; c < c1; ++c) {
+                dst[r * cols + c] = src[r + c * col_stride];
+              }
+            }
+          }
+        }
+      } else if (col_stride == 1) {
+        std::copy(src, src + cols, dst);
+      } else if (col_stride == 0) {
+        std::fill(dst, dst + cols, *src);
+      } else {
+        for (int64_t c = 0; c < cols; ++c) dst[c] = src[c * col_stride];
+      }
+    });
   });
 }
 

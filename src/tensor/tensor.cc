@@ -9,6 +9,8 @@
 #include "common/logging.h"
 #include "tensor/buffer_arena.h"
 #include "tensor/checker.h"
+#include "tensor/kernels.h"
+#include "tensor/kernels/registry.h"
 
 namespace d2stgnn {
 
@@ -323,8 +325,10 @@ void AccumulateGrad(const Tensor& target, const Tensor& delta) {
       << " does not match tensor shape " << ShapeToString(target.shape());
   auto& impl = *target.impl();
   if (impl.grad.empty()) impl.grad.assign(impl.data.size(), 0.0f);
-  const std::vector<float>& src = delta.Data();
-  for (size_t i = 0; i < src.size(); ++i) impl.grad[i] += src[i];
+  // Add is exactly rounded on every backend, so gradients stay bitwise.
+  kernels::EwiseBinary(kernels::ActiveBackend(), kernels::BinaryKind::kAdd,
+                       impl.grad.data(), delta.Data().data(), impl.grad.data(),
+                       delta.numel());
 }
 
 }  // namespace d2stgnn

@@ -2,15 +2,18 @@
 // selection and override semantics, per-op scalar-vs-avx2 parity at the
 // declared ulp/relative tolerances across lane-boundary sizes (1, 7, 8, 9,
 // 63, 64, 65 — below, at, and past the 8-float AVX2 lane and the 64-float
-// unroll), forced-backend end-to-end forecast deltas on the paper's model,
-// and cross-backend plan replay rejection (executor, verifier, and the
-// session dropping and recapturing plans across a backend switch).
+// unroll), the avx2 matmul bitwise against the row-at-a-time loop its
+// register tile replaced, forced-backend end-to-end forecast deltas on the
+// paper's model, and cross-backend plan replay rejection (executor,
+// verifier, and the session dropping and recapturing plans across a backend
+// switch).
 //
 // Every avx2-dependent test skips cleanly on hosts without AVX2+FMA, so the
 // suite is green on any x86 or non-x86 machine.
 
 #include "tensor/kernels/registry.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +22,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -231,22 +238,105 @@ TEST_F(BackendParityTest, BiasAddIsBitwise) {
 }
 
 TEST_F(BackendParityTest, MatMulWithinRelativeTolerance) {
-  for (const int64_t k : kTailSizes) {
-    for (const int64_t n : kTailSizes) {
-      const int64_t m = 3;
-      const std::vector<float> a = Normal(m * k, 600 + k);
-      const std::vector<float> b = Normal(k * n, 700 + n);
-      std::vector<float> ref(m * n, 0.0f), got(m * n, 0.0f);
-      scalar_->matmul_row_range(a.data(), b.data(), ref.data(), 0, m, k, n);
-      avx2_->matmul_row_range(a.data(), b.data(), got.data(), 0, m, k, n);
-      const float tol = kernels::MatMulRelTol(k);
-      for (int64_t i = 0; i < m * n; ++i) {
-        EXPECT_NEAR(ref[i], got[i], tol * (1.0f + std::fabs(ref[i])))
-            << "k=" << k << " n=" << n << " i=" << i;
+  // m covers the single row, a row tile and its remainders; k also crosses
+  // the 256-wide k-tile boundary, where the accumulation is stored and
+  // reloaded.
+  std::vector<int64_t> ks(std::begin(kTailSizes), std::end(kTailSizes));
+  ks.insert(ks.end(), {255, 256, 257, 600});
+  for (const int64_t m : {3, 4, 5, 8, 33}) {
+    for (const int64_t k : ks) {
+      for (const int64_t n : kTailSizes) {
+        const std::vector<float> a = Normal(m * k, 600 + k);
+        const std::vector<float> b = Normal(k * n, 700 + n);
+        std::vector<float> ref(m * n, 0.0f), got(m * n, 0.0f);
+        scalar_->matmul_row_range(a.data(), b.data(), ref.data(), 0, m, k, n);
+        avx2_->matmul_row_range(a.data(), b.data(), got.data(), 0, m, k, n);
+        const float tol = kernels::MatMulRelTol(k);
+        for (int64_t i = 0; i < m * n; ++i) {
+          EXPECT_NEAR(ref[i], got[i], tol * (1.0f + std::fabs(ref[i])))
+              << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
+        }
       }
     }
   }
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+// The row-at-a-time AVX2 matmul the register-tiled kernel replaced, kept as
+// the oracle of its per-element order: within each 256-wide k-tile every
+// output element is loaded, FMA-accumulated over kk ascending and stored.
+__attribute__((target("avx2,fma"))) void RowAtATimeAvx2MatMul(
+    const float* a, const float* b, float* out, int64_t row_begin,
+    int64_t row_end, int64_t k, int64_t n) {
+  constexpr int64_t kLanes = 8;
+  constexpr int64_t kKTile = 256;
+  for (int64_t k0 = 0; k0 < k; k0 += kKTile) {
+    const int64_t k1 = std::min(k, k0 + kKTile);
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      const float* a_row = a + i * k;
+      float* out_row = out + i * n;
+      int64_t j = 0;
+      for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
+        __m256 acc0 = _mm256_loadu_ps(out_row + j);
+        __m256 acc1 = _mm256_loadu_ps(out_row + j + kLanes);
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          const __m256 av = _mm256_broadcast_ss(a_row + kk);
+          const float* b_row = b + kk * n + j;
+          acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row), acc0);
+          acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + kLanes), acc1);
+        }
+        _mm256_storeu_ps(out_row + j, acc0);
+        _mm256_storeu_ps(out_row + j + kLanes, acc1);
+      }
+      for (; j + kLanes <= n; j += kLanes) {
+        __m256 acc = _mm256_loadu_ps(out_row + j);
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk),
+                                _mm256_loadu_ps(b + kk * n + j), acc);
+        }
+        _mm256_storeu_ps(out_row + j, acc);
+      }
+      if (j < n) {
+        const __m256i mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(n - j)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        __m256 acc = _mm256_maskload_ps(out_row + j, mask);
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a_row + kk),
+                                _mm256_maskload_ps(b + kk * n + j, mask),
+                                acc);
+        }
+        _mm256_maskstore_ps(out_row + j, mask, acc);
+      }
+    }
+  }
+}
+
+// The tiled kernel keeps each element's FMA sequence, so it is bitwise the
+// row-at-a-time loop for every shape: row tiles and their remainders (m),
+// k-tile crossings (k), 16-wide, 8-wide and masked column tails (n), row
+// ranges that start mid-matrix, and a non-zero `out` it accumulates into.
+TEST_F(BackendParityTest, MatMulIsBitwiseTheRowAtATimeLoop) {
+  for (const int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33}) {
+    for (const int64_t k : {1, 7, 255, 256, 257, 600}) {
+      for (const int64_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 384}) {
+        const std::vector<float> a = Normal(m * k, 1100 + m + k);
+        const std::vector<float> b = Normal(k * n, 1200 + k + n);
+        const std::vector<float> init = Normal(m * n, 1300 + m + n);
+        for (const int64_t row_begin : {int64_t{0}, m / 3}) {
+          std::vector<float> ref = init, got = init;
+          RowAtATimeAvx2MatMul(a.data(), b.data(), ref.data(), row_begin, m,
+                               k, n);
+          avx2_->matmul_row_range(a.data(), b.data(), got.data(), row_begin,
+                                  m, k, n);
+          EXPECT_EQ(ref, got) << "m=" << m << " k=" << k << " n=" << n
+                              << " row_begin=" << row_begin;
+        }
+      }
+    }
+  }
+}
+#endif
 
 TEST_F(BackendParityTest, ReduceSumWithinRelativeTolerance) {
   for (const int64_t n : kTailSizes) {

@@ -214,6 +214,112 @@ TEST(ShapeOps, BroadcastToExpands) {
   EXPECT_FLOAT_EQ(b.At({1, 2}), 3.0f);
 }
 
+// Naive strided gather: out[flat] = a[sum_d idx[d] * strides[d]], one
+// element at a time from the multi-index — the reference the run-based
+// GatherStrided under Permute / Transpose / BroadcastTo must match bitwise.
+std::vector<float> NaiveGather(const Shape& out_shape,
+                               const std::vector<int64_t>& strides,
+                               const std::vector<float>& a) {
+  std::vector<float> out(static_cast<size_t>(NumElements(out_shape)));
+  for (int64_t flat = 0; flat < static_cast<int64_t>(out.size()); ++flat) {
+    int64_t rem = flat;
+    int64_t src = 0;
+    for (int64_t d = static_cast<int64_t>(out_shape.size()) - 1; d >= 0; --d) {
+      const size_t ud = static_cast<size_t>(d);
+      src += (rem % out_shape[ud]) * strides[ud];
+      rem /= out_shape[ud];
+    }
+    out[static_cast<size_t>(flat)] = a[static_cast<size_t>(src)];
+  }
+  return out;
+}
+
+/// Random shape of rank 1..5 and at most 2^16 elements; about a third of
+/// the dims are 1 and the rest span 2..max_dim, so unit dims, merged runs
+/// and partial tiles all occur.
+Shape RandomShape(Rng& rng, int64_t max_dim) {
+  Shape shape;
+  do {
+    shape.assign(static_cast<size_t>(1 + rng.UniformInt(5)), 1);
+    for (int64_t& d : shape) {
+      if (rng.UniformInt(3) != 0) d = 2 + rng.UniformInt(max_dim - 1);
+    }
+  } while (NumElements(shape) > (int64_t{1} << 16));
+  return shape;
+}
+
+TEST(ShapeOps, PermuteAndTransposeMatchNaiveGather) {
+  Rng rng(23);
+  std::vector<std::pair<Shape, std::vector<int64_t>>> cases = {
+      {{3, 70, 90}, {0, 2, 1}},       // transposed tail past one chunk
+      {{2, 40, 30, 9}, {0, 2, 1, 3}},  // contiguous runs of 9
+      {{37, 1, 19}, {2, 1, 0}},       // unit dim inside a transpose
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const Shape shape = RandomShape(rng, trial % 4 == 0 ? 40 : 6);
+    std::vector<int64_t> perm = rng.Permutation(
+        static_cast<int64_t>(shape.size()));
+    cases.emplace_back(shape, std::move(perm));
+  }
+  for (const auto& [shape, perm] : cases) {
+    const Tensor a = Tensor::Randn(shape, rng);
+    const std::vector<int64_t> in_strides = RowMajorStrides(shape);
+    Shape out_shape;
+    std::vector<int64_t> strides;
+    for (int64_t p : perm) {
+      out_shape.push_back(shape[static_cast<size_t>(p)]);
+      strides.push_back(in_strides[static_cast<size_t>(p)]);
+    }
+    const Tensor got = Permute(a, perm);
+    EXPECT_EQ(got.shape(), out_shape);
+    EXPECT_EQ(got.Data(), NaiveGather(out_shape, strides, a.Data()))
+        << "shape " << ShapeToString(shape);
+
+    if (shape.size() < 2) continue;
+    const int64_t rank = static_cast<int64_t>(shape.size());
+    const int64_t d0 = perm[0] % rank;
+    const int64_t d1 = (d0 + 1 + perm.back() % (rank - 1)) % rank;
+    std::vector<int64_t> swap(shape.size());
+    for (int64_t d = 0; d < rank; ++d) swap[static_cast<size_t>(d)] = d;
+    std::swap(swap[static_cast<size_t>(d0)], swap[static_cast<size_t>(d1)]);
+    EXPECT_EQ(Transpose(a, d0, d1).Data(), Permute(a, swap).Data())
+        << "shape " << ShapeToString(shape) << " d0=" << d0 << " d1=" << d1;
+  }
+}
+
+TEST(ShapeOps, BroadcastToMatchesNaiveGather) {
+  Rng rng(29);
+  std::vector<std::pair<Shape, Shape>> cases = {
+      {{1, 90}, {200, 90}},       // row broadcast past one chunk
+      {{70, 1}, {70, 300}},       // column broadcast: stride-0 runs
+      {{5, 1, 7}, {3, 5, 4, 7}},  // lower-rank source, interior broadcast
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const Shape out_shape = RandomShape(rng, trial % 4 == 0 ? 40 : 6);
+    // Keep a random suffix of the target's dims, each either kept or 1.
+    Shape src(out_shape.begin() + rng.UniformInt(
+                                      static_cast<int64_t>(out_shape.size())),
+              out_shape.end());
+    for (int64_t& d : src) {
+      if (rng.UniformInt(2) == 0) d = 1;
+    }
+    cases.emplace_back(src, out_shape);
+  }
+  for (const auto& [src, out_shape] : cases) {
+    const Tensor a = Tensor::Randn(src, rng);
+    const Tensor got = BroadcastTo(a, out_shape);
+    EXPECT_EQ(got.shape(), out_shape);
+    const size_t offset = out_shape.size() - src.size();
+    const std::vector<int64_t> src_strides = RowMajorStrides(src);
+    std::vector<int64_t> strides(out_shape.size(), 0);
+    for (size_t d = 0; d < src.size(); ++d) {
+      strides[offset + d] = src[d] == 1 ? 0 : src_strides[d];
+    }
+    EXPECT_EQ(got.Data(), NaiveGather(out_shape, strides, a.Data()))
+        << ShapeToString(src) << " -> " << ShapeToString(out_shape);
+  }
+}
+
 TEST(IndexOps, EmbeddingLookup) {
   Tensor table({3, 2}, {0, 1, 10, 11, 20, 21});
   Tensor out = EmbeddingLookup(table, {2, 0, 2}, {3});
